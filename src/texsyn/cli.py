@@ -82,6 +82,15 @@ def _out_path(run: cfg.RunConfig, name: str) -> str:
 
 def cmd_train(args) -> int:
     run = _run_config(args)
+    model_key = "paths.transfer_model" if args.transfer else "paths.model"
+    # a missing output directory fails the run before training, not after
+    dirs = {k: os.path.dirname(os.path.abspath(run.get(k))) for k in (model_key, "paths.log")}
+    checkpoint_dir = run.get("train.checkpoint_dir")
+    if not args.transfer and run.get("train.checkpoint_every") and checkpoint_dir:
+        dirs["train.checkpoint_dir"] = checkpoint_dir
+    for key, directory in dirs.items():
+        if not os.path.isdir(directory):
+            raise cfg.ConfigError(f"{key}: directory {directory} does not exist")
     extractor = build_extractor(cfg.extractor_config(run))
     exemplar_paths = run.get("paths.exemplars")
     if args.transfer:
@@ -100,8 +109,7 @@ def cmd_train(args) -> int:
             extractor=extractor,
             log_every=args.log_every,
         )
-        model_path = run.get("paths.transfer_model")
-        save_transfer_model(params, model_path)
+        save = save_transfer_model
     else:
         synth = cfg.synthesis_config(run, textures=len(exemplar_paths))
         resize = None
@@ -115,9 +123,9 @@ def cmd_train(args) -> int:
             extractor=extractor,
             log_every=args.log_every,
         )
-        model_path = run.get("paths.model")
-        save_model(params, model_path)
-    log_path = run.get("paths.log")
+        save = save_model
+    model_path, log_path = run.get(model_key), run.get("paths.log")
+    save(params, model_path)
     log.save(log_path)
     print(f"trained {len(exemplars)} textures; wrote {model_path} and {log_path}")
     return 0

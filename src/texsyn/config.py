@@ -10,7 +10,7 @@ parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .extractor import DEFAULT_TAPS, ExtractorConfig
 from .generator import SynthesisConfig
@@ -235,73 +235,32 @@ def document_defaults() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _build(cls, config: RunConfig, section: str, **given):
+    """An instance of ``cls`` whose other fields come from ``section.<field>`` keys."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**given, **{name: config.get(f"{section}.{name}") for name in names})
+
+
 def synthesis_config(config: RunConfig, textures: int | None = None) -> SynthesisConfig:
     m = config.get("synthesis.textures") if textures is None else textures
     if m is None:
         raise ConfigError(
             "synthesis.textures is 'auto' but no exemplar count is available"
         )
-    return SynthesisConfig(
-        textures=m,
-        embed_dim=config.get("synthesis.embed_dim"),
-        noise_dim=config.get("synthesis.noise_dim"),
-        base_size=config.get("synthesis.base_size"),
-        scales=config.get("synthesis.scales"),
-        widths=config.get("synthesis.widths"),
-        guidance_channels=config.get("synthesis.guidance_channels"),
-    )
+    return _build(SynthesisConfig, config, "synthesis", textures=m)
 
 
 def extractor_config(config: RunConfig) -> ExtractorConfig:
-    return ExtractorConfig(
-        stage_channels=config.get("extractor.stage_channels"),
-        convs_per_stage=config.get("extractor.convs_per_stage"),
-        taps=config.get("extractor.taps"),
-        seed=config.get("extractor.seed"),
-        weight_file=config.get("extractor.weight_file"),
-    )
+    return _build(ExtractorConfig, config, "extractor")
 
 
 def train_config(config: RunConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        seed=seed,
-        K=config.get("train.K"),
-        iterations=config.get("train.iterations"),
-        batch_size=config.get("train.batch_size"),
-        lr=config.get("train.lr"),
-        alpha=config.get("train.alpha"),
-        beta=config.get("train.beta"),
-        texture_taps=config.get("train.texture_taps"),
-        diversity_tap=config.get("train.diversity_tap"),
-        mode=config.get("train.mode"),
-        diversity_normalize=config.get("train.diversity_normalize"),
-        use_selector=config.get("train.use_selector"),
-        checkpoint_every=config.get("train.checkpoint_every"),
-        checkpoint_dir=config.get("train.checkpoint_dir"),
-    )
+    return _build(TrainConfig, config, "train", seed=seed)
 
 
 def transfer_config(config: RunConfig, seed: int) -> TransferConfig:
-    return TransferConfig(
-        seed=seed,
-        K=config.get("transfer.K"),
-        iterations=config.get("transfer.iterations"),
-        batch_size=config.get("transfer.batch_size"),
-        lr=config.get("transfer.lr"),
-        alpha=config.get("transfer.alpha"),
-        beta=config.get("transfer.beta"),
-        content_weight=config.get("transfer.content_weight"),
-        style_taps=config.get("transfer.style_taps"),
-        diversity_tap=config.get("transfer.diversity_tap"),
-        mode=config.get("transfer.mode"),
-        diversity_normalize=config.get("transfer.diversity_normalize"),
-    )
+    return _build(TransferConfig, config, "transfer", seed=seed)
 
 
 def transfer_net_config(config: RunConfig, styles: int) -> TransferNetConfig:
-    return TransferNetConfig(
-        styles=styles,
-        enc_widths=config.get("transfer.enc_widths"),
-        dec_widths=config.get("transfer.dec_widths"),
-        noise_channels=config.get("transfer.noise_channels"),
-    )
+    return _build(TransferNetConfig, config, "transfer", styles=styles)

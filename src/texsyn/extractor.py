@@ -66,10 +66,6 @@ class ExtractorConfig:
             raise ValueError(f"tap {name!r} does not resolve to a layer")
         return stage, idx
 
-    def tap_channels(self, name: str) -> int:
-        stage, _ = self.locate_tap(name)
-        return self.stage_channels[stage]
-
 
 @dataclass
 class Extractor:
@@ -110,20 +106,7 @@ def build_extractor(config: ExtractorConfig = ExtractorConfig()) -> Extractor:
     """Construct the extractor, seeding weights or loading them from file."""
     expected = _expected_shapes(config)
     if config.weight_file is not None:
-        weights = serialize.load_tensors(config.weight_file)
-        for name, shape in expected.items():
-            if name not in weights:
-                raise serialize.WeightFormatError(
-                    f"missing tensor '{name}' (expected shape {shape})"
-                )
-            if weights[name].shape != shape:
-                raise serialize.WeightFormatError(
-                    f"tensor '{name}' has shape {weights[name].shape}, "
-                    f"expected {shape}"
-                )
-        extra = set(weights) - set(expected)
-        if extra:
-            raise serialize.WeightFormatError(f"unexpected tensors {sorted(extra)}")
+        _, weights = serialize.load_checked(config.weight_file, lambda _: (config, expected))
     else:
         gen = _rng.stream(config.seed, "extractor-weights")
         weights = {}

@@ -14,7 +14,7 @@ has bit k set, counting from 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import rng as _rng
 from . import serialize
 from .autodiff import ShapeError, Tensor
+from .serialize import ParamSet
 
 
 @dataclass(frozen=True)
@@ -66,46 +67,28 @@ class SelectionUnit:
 
 
 def one_hot(config: SynthesisConfig, texture_id: int) -> SelectionUnit:
-    if not 1 <= texture_id <= config.textures:
-        raise ValueError(
-            f"texture id {texture_id} out of range 1..{config.textures}"
-        )
-    w = np.zeros(config.textures)
-    w[texture_id - 1] = 1.0
-    return SelectionUnit(w)
+    return weighted_selection(config.textures, [(texture_id, 1.0)])
 
 
 def interpolate_selection(config: SynthesisConfig, bits: list) -> SelectionUnit:
     """Sparse selection from (texture id, weight) pairs, ids 1-based."""
-    w = np.zeros(config.textures)
+    return weighted_selection(config.textures, bits)
+
+
+def weighted_selection(count: int, pairs: list, what: str = "texture") -> SelectionUnit:
+    """Weights from (id, weight) pairs over ids 1..count; unlisted ids get 0."""
+    w = np.zeros(count)
     seen = set()
-    for texture_id, weight in bits:
-        if not 1 <= texture_id <= config.textures:
-            raise ValueError(
-                f"texture id {texture_id} out of range 1..{config.textures}"
-            )
-        if texture_id in seen:
-            raise ValueError(f"texture id {texture_id} listed twice")
+    for k, weight in pairs:
+        if not 1 <= k <= count:
+            raise ValueError(f"{what} id {k} out of range 1..{count}")
+        if k in seen:
+            raise ValueError(f"{what} id {k} listed twice")
         if weight < 0:
-            raise ValueError(f"negative weight {weight} for texture {texture_id}")
-        seen.add(texture_id)
-        w[texture_id - 1] = weight
+            raise ValueError(f"negative weight {weight} for {what} {k}")
+        seen.add(k)
+        w[k - 1] = weight
     return SelectionUnit(w)
-
-
-@dataclass
-class GeneratorParams:
-    """All learnable tensors, keyed by stable names for serialization."""
-
-    config: SynthesisConfig
-    tensors: dict = field(repr=False)  # name -> Tensor (requires_grad)
-
-    def parameters(self) -> list:
-        return list(self.tensors.values())
-
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
 
 
 def _param_shapes(config: SynthesisConfig) -> dict:
@@ -128,10 +111,10 @@ def _param_shapes(config: SynthesisConfig) -> dict:
     return shapes
 
 
-def init_params(config: SynthesisConfig, seed: int) -> GeneratorParams:
+def init_params(config: SynthesisConfig, seed: int) -> ParamSet:
     """Fan-in scaled Gaussian kernels, zero biases, sigma 0.1 embedding."""
     gen = _rng.stream(seed, "generator-init")
-    tensors = {}
+    arrays = {}
     for name, shape in _param_shapes(config).items():
         if name == "embedding":
             data = gen.standard_normal(shape) * 0.1
@@ -145,11 +128,11 @@ def init_params(config: SynthesisConfig, seed: int) -> GeneratorParams:
             )
             gain = 1.0 if name == "rgb.kernel" else 2.0
             data = gen.standard_normal(shape) * np.sqrt(gain / fan_in)
-        tensors[name] = Tensor(data.astype(np.float32), requires_grad=True)
-    return GeneratorParams(config=config, tensors=tensors)
+        arrays[name] = data.astype(np.float32)
+    return ParamSet.of(config, arrays)
 
 
-def embed(params: GeneratorParams, selection: SelectionUnit) -> Tensor:
+def embed(params: ParamSet, selection: SelectionUnit) -> Tensor:
     """Project the selection onto the embedding rows: e = selection @ E."""
     m = params.config.textures
     if selection.weights.shape != (m,):
@@ -178,7 +161,7 @@ def _zero_guidance(config: SynthesisConfig, dtype) -> list:
     return maps
 
 
-def selector_guidance(params: GeneratorParams, embedding: Tensor) -> list:
+def selector_guidance(params: ParamSet, embedding: Tensor) -> list:
     """One guidance map per scale, sized to match the generator there."""
     c = params.config
     t = params.tensors
@@ -199,7 +182,7 @@ def selector_guidance(params: GeneratorParams, embedding: Tensor) -> list:
 
 
 def generate(
-    params: GeneratorParams,
+    params: ParamSet,
     selection: SelectionUnit,
     noise,
     use_selector: bool = True,
@@ -258,11 +241,11 @@ def _config_array(config: SynthesisConfig) -> np.ndarray:
     )
 
 
-def _config_from_array(arr: np.ndarray) -> SynthesisConfig:
+def _layout(arr: np.ndarray) -> tuple:
     vals = [int(v) for v in arr.tolist()]
     if len(vals) < 7 or any(float(v) != float(o) for v, o in zip(vals, arr.tolist())):
         raise serialize.WeightFormatError(f"malformed config header {arr.tolist()}")
-    return SynthesisConfig(
+    config = SynthesisConfig(
         textures=vals[0],
         embed_dim=vals[1],
         noise_dim=vals[2],
@@ -271,34 +254,12 @@ def _config_from_array(arr: np.ndarray) -> SynthesisConfig:
         guidance_channels=vals[5],
         widths=tuple(vals[6:]),
     )
+    return config, _param_shapes(config)
 
 
-def save_model(params: GeneratorParams, path: str) -> None:
-    tensors = {_CONFIG_KEY: _config_array(params.config)}
-    for name, t in params.tensors.items():
-        tensors[name] = t.data.astype(np.float32, copy=False)
-    serialize.save_tensors(path, tensors)
+def save_model(params: ParamSet, path: str) -> None:
+    serialize.save_params(path, params, _CONFIG_KEY, _config_array(params.config))
 
 
-def load_model(path: str) -> GeneratorParams:
-    tensors = serialize.load_tensors(path)
-    if _CONFIG_KEY not in tensors:
-        raise serialize.WeightFormatError("model file lacks a config header")
-    config = _config_from_array(tensors.pop(_CONFIG_KEY))
-    expected = _param_shapes(config)
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise serialize.WeightFormatError(
-                f"missing tensor '{name}' (expected shape {shape})"
-            )
-        if tensors[name].shape != shape:
-            raise serialize.WeightFormatError(
-                f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}"
-            )
-    extra = set(tensors) - set(expected)
-    if extra:
-        raise serialize.WeightFormatError(f"unexpected tensors {sorted(extra)}")
-    return GeneratorParams(
-        config=config,
-        tensors={n: Tensor(tensors[n], requires_grad=True) for n in expected},
-    )
+def load_model(path: str) -> ParamSet:
+    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY))

@@ -122,17 +122,18 @@ def load_image(path: str) -> ImageBuffer:
 
     if idat_offset is None:
         raise PngError("no IDAT chunk", off)
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as e:
-        raise PngError(f"corrupt image data: {e}", idat_offset) from None
     channels = _TYPE_CHANNELS[color_type]
     stride = width * channels
     expected = (stride + 1) * height
-    if len(raw) != expected:
-        raise PngError(
-            f"decompressed to {len(raw)} bytes, expected {expected}", idat_offset
-        )
+    # inflate at most one byte past the expected size, so a small file
+    # cannot expand to an unbounded buffer before the length check
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(bytes(idat), expected + 1)
+    except zlib.error as e:
+        raise PngError(f"corrupt image data: {e}", idat_offset) from None
+    if len(raw) != expected or not inflater.eof:
+        raise PngError(f"image data does not inflate to {expected} bytes", idat_offset)
     pixels = _unfilter(raw, height, stride, channels)
     pixels = pixels.reshape(height, width, channels)
 

@@ -1,6 +1,6 @@
-"""Flat binary tensor files.
+"""Tensor and model files, the parameter sets they hold, and loss logs.
 
-Layout (all integers little-endian):
+Tensor-file layout (all integers little-endian):
 
     magic    4 bytes  b"TXW1"
     version  u32      format version, currently 1
@@ -12,6 +12,10 @@ Layout (all integers little-endian):
       dims      rank x u32
       data      prod(dims) x f32, C order
 
+A model file adds one tensor holding its network config under a header
+name, next to the weights.  Loss logs are CSV: the iteration, the texture
+(or style) id, then one float per loss column.
+
 Writes are atomic: data goes to a temporary file in the target directory
 which is renamed over the destination only once fully written.
 """
@@ -21,8 +25,11 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .autodiff import Tensor
 
 MAGIC = b"TXW1"
 VERSION = 1
@@ -48,6 +55,95 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
         payload += struct.pack(f"<{arr.ndim}I", *arr.shape)
         payload += arr.tobytes()
     atomic_write_bytes(path, bytes(payload))
+
+
+@dataclass
+class ParamSet:
+    """Learnable tensors keyed by stable names, plus the config that shaped them."""
+
+    config: object
+    tensors: dict = field(repr=False)  # name -> Tensor (requires_grad)
+
+    @classmethod
+    def of(cls, config, arrays: dict) -> "ParamSet":
+        return cls(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
+
+    def parameters(self) -> list:
+        return list(self.tensors.values())
+
+    def zero_grad(self) -> None:
+        for t in self.tensors.values():
+            t.zero_grad()
+
+
+def save_params(path: str, params: ParamSet, header: str, config: np.ndarray) -> None:
+    """Write a model file: the config array under ``header``, then the weights."""
+    tensors = {header: config}
+    tensors.update((name, t.data) for name, t in params.tensors.items())
+    save_tensors(path, tensors)
+
+
+def load_checked(path: str, layout, header: str | None = None) -> tuple:
+    """Read a file that must hold exactly the tensors ``layout`` names.
+
+    ``layout`` receives the config array stored under ``header`` (None for
+    a file without one) and returns (config, {name: shape}).  Returns
+    (config, {name: array}) in layout order; a missing, extra or misshapen
+    tensor raises WeightFormatError naming it.
+    """
+    tensors = load_tensors(path)
+    if header is not None and header not in tensors:
+        raise WeightFormatError(f"model file lacks its '{header}' config header")
+    config, expected = layout(tensors.pop(header) if header is not None else None)
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise WeightFormatError(f"missing tensor '{name}' (expected shape {shape})")
+        if tensors[name].shape != shape:
+            raise WeightFormatError(
+                f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}"
+            )
+    extra = set(tensors) - set(expected)
+    if extra:
+        raise WeightFormatError(f"unexpected tensors {sorted(extra)}")
+    return config, {name: tensors[name] for name in expected}
+
+
+LOSS_COLUMNS = ("iter", "texture", "l_texture", "l_diversity", "total")
+
+
+@dataclass
+class LossLog:
+    """Append-only per-iteration loss records: iteration, id, then the losses."""
+
+    columns: tuple = LOSS_COLUMNS
+    rows: list = field(default_factory=list)
+
+    def append(self, iteration, texture, *losses) -> None:
+        if len(losses) != len(self.columns) - 2:
+            raise ValueError(f"{len(losses)} losses for log columns {self.columns}")
+        if self.rows and iteration <= self.rows[-1][0]:
+            raise ValueError(
+                f"iteration {iteration} not after {self.rows[-1][0]}; log is append-only"
+            )
+        self.rows.append((int(iteration), int(texture), *map(float, losses)))
+
+    def save(self, path: str) -> None:
+        lines = [",".join(self.columns)]
+        for it, texture, *losses in self.rows:
+            lines.append(",".join([str(it), str(texture)] + [repr(v) for v in losses]))
+        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+
+    @classmethod
+    def load(cls, path: str, columns: tuple = LOSS_COLUMNS) -> "LossLog":
+        log = cls(columns)
+        with open(path) as f:
+            header = f.readline().strip()
+            if header != ",".join(columns):
+                raise ValueError(f"unexpected loss-log header {header!r}")
+            for line in f:
+                it, texture, *losses = line.strip().split(",")
+                log.append(int(it), int(texture), *map(float, losses))
+        return log
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

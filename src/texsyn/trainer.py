@@ -7,7 +7,8 @@ are in, sampling switches to uniform random.  The trainer minimizes
 
     alpha * texture loss + beta * diversity loss
 
-with one texture id per iteration shared by the whole batch.
+with one texture id per iteration shared by the whole batch.  ``fit`` is
+the loop itself; the transfer trainer runs the same one.
 
 pixel_optimize performs the same texture-loss minimization directly on
 image pixels, with no generator involved.  It is the slow reference the
@@ -18,7 +19,7 @@ targets' statistics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from . import rng as _rng
 from .autodiff import NonFiniteError, Tensor
 from .extractor import ExtractorConfig, Extractor, build_extractor, extract
 from .generator import (
-    GeneratorParams,
     SynthesisConfig,
     generate,
     init_params,
@@ -44,6 +44,7 @@ from .losses import (
     total_loss,
 )
 from .optim import Adam
+from .serialize import LossLog, ParamSet
 
 
 class TrainingError(RuntimeError):
@@ -76,21 +77,19 @@ def schedule_texture(iteration: int, schedule: Schedule) -> int:
 
 
 @dataclass
-class TrainConfig:
+class LoopConfig:
+    """Knobs the texture and the transfer trainer share."""
+
     seed: int
-    K: int = 100
+    K: int = 100  # iterations per curriculum phase
     iterations: int | None = None  # default 3*M*K: curriculum plus random phase
     batch_size: int = 4
     lr: float = 1e-3
-    alpha: float = 1.0
-    beta: float = -1.0
-    texture_taps: tuple = TEXTURE_TAPS
+    alpha: float = 1.0  # texture (style) loss coefficient
+    beta: float = -1.0  # diversity coefficient
     diversity_tap: str = DIVERSITY_TAP
     mode: str = "incremental"
     diversity_normalize: bool = True
-    use_selector: bool = True  # off = guidance-ablation training
-    checkpoint_every: int = 0  # 0 disables checkpoints
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.beta != 0.0 and self.batch_size < 2:
@@ -100,50 +99,63 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.checkpoint_every and not self.checkpoint_dir:
-            raise ValueError("checkpoint_every set but no checkpoint_dir")
 
     def total_iterations(self, m: int) -> int:
         return self.iterations if self.iterations is not None else 3 * m * self.K
 
 
 @dataclass
-class LossLog:
-    """Append-only per-iteration loss records."""
+class TrainConfig(LoopConfig):
+    texture_taps: tuple = TEXTURE_TAPS
+    use_selector: bool = True  # off = guidance-ablation training
+    checkpoint_every: int = 0  # 0 disables checkpoints
+    checkpoint_dir: str | None = None
 
-    rows: list = field(default_factory=list)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.checkpoint_every and not self.checkpoint_dir:
+            raise ValueError("checkpoint_every set but no checkpoint_dir")
 
-    HEADER = "iter,texture,l_texture,l_diversity,total"
 
-    def append(self, iteration, texture, l_texture, l_diversity, total) -> None:
-        if self.rows and iteration <= self.rows[-1][0]:
-            raise ValueError(
-                f"iteration {iteration} not after {self.rows[-1][0]}; log is append-only"
-            )
-        self.rows.append(
-            (int(iteration), int(texture), float(l_texture), float(l_diversity), float(total))
-        )
+def fit(
+    config: LoopConfig,
+    m: int,
+    pick,
+    step,
+    log: LossLog,
+    log_every: int = 0,
+    checkpoint_every: int = 0,
+    save=None,
+) -> LossLog:
+    """The training loop of both trainers; returns the filled log.
 
-    def save(self, path: str) -> None:
-        lines = [self.HEADER]
-        for it, tex, lt, ld, tot in self.rows:
-            lines.append(f"{it},{tex},{lt!r},{ld!r},{tot!r}")
-        tmp = path + ".part"
-        with open(tmp, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "LossLog":
-        log = cls()
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != cls.HEADER:
-                raise ValueError(f"unexpected loss-log header {header!r}")
-            for line in f:
-                it, tex, lt, ld, tot = line.strip().split(",")
-                log.append(int(it), int(tex), float(lt), float(ld), float(tot))
-        return log
+    Each iteration ``pick(iteration, schedule)`` names the id (1..m) to
+    train, and ``step(id)`` runs one optimization step and returns the
+    losses of the log's columns after the id.  A non-finite value aborts
+    with TrainingError.  ``save(done)`` writes a checkpoint every
+    ``checkpoint_every`` iterations.  Each trainer passes the
+    ``schedule_texture`` its own module holds, so replacing that name
+    (the benchmark times iterations this way) reaches the loop.
+    """
+    schedule = Schedule(
+        mode=config.mode, K=config.K, M=m, rng=_rng.stream(config.seed, "schedule")
+    )
+    iterations = config.total_iterations(m)
+    for iteration in range(iterations):
+        k = pick(iteration, schedule)
+        try:
+            losses = step(k)
+        except NonFiniteError as e:
+            raise TrainingError(
+                f"aborted at iteration {iteration} on {log.columns[1]} {k}: {e}"
+            ) from e
+        log.append(iteration, k, *losses)
+        if log_every and (iteration + 1) % log_every == 0:
+            named = " ".join(f"{c} {v:.4f}" for c, v in zip(log.columns[2:], losses))
+            print(f"iter {iteration + 1}/{iterations} {log.columns[1]} {k} {named}", flush=True)
+        if checkpoint_every and (iteration + 1) % checkpoint_every == 0:
+            save(iteration + 1)
+    return log
 
 
 def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS, size=None) -> list:
@@ -177,8 +189,15 @@ def blend_targets(a: TextureTarget, b: TextureTarget, weight: float) -> TextureT
     return TextureTarget(texture_id=0, grams=grams)
 
 
+def diversity_term(config: LoopConfig, feats: list, rng: np.random.Generator, dtype) -> Tensor:
+    """The batch's diversity loss, or a zero scalar when beta is 0."""
+    if config.beta == 0.0:
+        return Tensor(np.zeros((), dtype=dtype))
+    return diversity_loss(feats, rng, normalize=config.diversity_normalize)
+
+
 def train_step(
-    params: GeneratorParams,
+    params: ParamSet,
     extractor: Extractor,
     targets: list,
     texture_id: int,
@@ -206,12 +225,7 @@ def train_step(
         if config.beta != 0.0:
             div_feats.append(feats[config.diversity_tap])
     l_texture = ad.scale(tex_sum, 1.0 / n)
-    if config.beta != 0.0:
-        l_diversity = diversity_loss(
-            div_feats, derangement_rng, normalize=config.diversity_normalize
-        )
-    else:
-        l_diversity = Tensor(np.zeros((), dtype=l_texture.dtype))
+    l_diversity = diversity_term(config, div_feats, derangement_rng, l_texture.dtype)
     loss = total_loss(l_texture, l_diversity, config.alpha, config.beta)
 
     params.zero_grad()
@@ -247,42 +261,22 @@ def train(
     )
     params = init_params(synth_config, config.seed)
     optimizer = Adam(params.parameters(), lr=config.lr)
-    schedule = Schedule(
-        mode=config.mode, K=config.K, M=m, rng=_rng.stream(config.seed, "schedule")
-    )
     noise_rng = _rng.stream(config.seed, "noise")
     derangement_rng = _rng.stream(config.seed, "derangement")
 
-    log = LossLog()
-    iterations = config.total_iterations(m)
-    for iteration in range(iterations):
-        texture_id = schedule_texture(iteration, schedule)
-        try:
-            _, record = train_step(
-                params,
-                extractor,
-                targets,
-                texture_id,
-                config,
-                optimizer,
-                noise_rng,
-                derangement_rng,
-            )
-        except NonFiniteError as e:
-            raise TrainingError(
-                f"aborted at iteration {iteration} on texture {texture_id}: {e}"
-            ) from e
-        log.append(iteration, *record)
-        if log_every and (iteration + 1) % log_every == 0:
-            tex, lt, ld, tot = record
-            print(
-                f"iter {iteration + 1}/{iterations} texture {tex} "
-                f"l_texture {lt:.4f} l_diversity {ld:.4f} total {tot:.4f}",
-                flush=True,
-            )
-        if config.checkpoint_every and (iteration + 1) % config.checkpoint_every == 0:
-            path = os.path.join(config.checkpoint_dir, f"checkpoint_{iteration + 1}.model")
-            save_model(params, path)
+    def step(texture_id):
+        _, record = train_step(
+            params, extractor, targets, texture_id, config, optimizer, noise_rng, derangement_rng
+        )
+        return record[1:]
+
+    def save(done):
+        save_model(params, os.path.join(config.checkpoint_dir, f"checkpoint_{done}.model"))
+
+    log = fit(
+        config, m, schedule_texture, step, LossLog(), log_every,
+        checkpoint_every=config.checkpoint_every, save=save,
+    )
     return params, log
 
 

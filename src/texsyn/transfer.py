@@ -8,34 +8,32 @@ styles feeds a weighted sum of freshly sampled maps.  The decoder mirrors
 the encoder with nearest-neighbor upsampling, so output size always
 equals content size.
 
-Training reuses the texture machinery: style loss is the centered-Gram
-texture loss of the output against the style exemplar, diversity is the
-same deranged feature distance, and a content term (L1 of deep features
-against the content image) anchors structure.
+Training reuses the texture machinery: the same loop and schedule
+(``trainer.fit``), style loss is the centered-Gram texture loss of the
+output against the style exemplar, diversity is the same deranged
+feature distance, and a content term (L1 of deep features against the
+content image) anchors structure.  The loss log adds an ``l_content``
+column to the texture trainer's columns.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import rng as _rng
 from . import serialize
-from .autodiff import NonFiniteError, ShapeError, Tensor
+from .autodiff import ShapeError, Tensor
 from .extractor import Extractor, ExtractorConfig, build_extractor, extract
-from .generator import SelectionUnit
-from .losses import (
-    DIVERSITY_TAP,
-    TEXTURE_TAPS,
-    diversity_loss,
-    texture_loss,
-    total_loss,
-)
+from .generator import SelectionUnit, weighted_selection
+from .losses import DIVERSITY_TAP, TEXTURE_TAPS, texture_loss, total_loss
 from .optim import Adam
-from .trainer import Schedule, TrainingError, precompute_targets, schedule_texture
+from .serialize import LOSS_COLUMNS, LossLog, ParamSet
+from .trainer import LoopConfig, diversity_term, fit, precompute_targets, schedule_texture
+
+LOG_COLUMNS = LOSS_COLUMNS + ("l_content",)
 
 
 @dataclass(frozen=True)
@@ -61,19 +59,6 @@ class TransferNetConfig:
         return 2 ** len(self.enc_widths)
 
 
-@dataclass
-class TransferParams:
-    config: TransferNetConfig
-    tensors: dict = field(repr=False)
-
-    def parameters(self) -> list:
-        return list(self.tensors.values())
-
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
-
 def _param_shapes(config: TransferNetConfig) -> dict:
     shapes = {}
     in_ch = 3
@@ -91,9 +76,9 @@ def _param_shapes(config: TransferNetConfig) -> dict:
     return shapes
 
 
-def init_transfer_params(config: TransferNetConfig, seed: int) -> TransferParams:
+def init_transfer_params(config: TransferNetConfig, seed: int) -> ParamSet:
     gen = _rng.stream(seed, "transfer-init")
-    tensors = {}
+    arrays = {}
     for name, shape in _param_shapes(config).items():
         if name.endswith("bias"):
             data = np.zeros(shape)
@@ -101,8 +86,8 @@ def init_transfer_params(config: TransferNetConfig, seed: int) -> TransferParams
             fan_in = int(np.prod(shape[1:]))
             gain = 1.0 if name == "rgb.kernel" else 2.0
             data = gen.standard_normal(shape) * np.sqrt(gain / fan_in)
-        tensors[name] = Tensor(data.astype(np.float32), requires_grad=True)
-    return TransferParams(config=config, tensors=tensors)
+        arrays[name] = data.astype(np.float32)
+    return ParamSet.of(config, arrays)
 
 
 @dataclass
@@ -147,7 +132,7 @@ def _check_content(config: TransferNetConfig, content: Tensor) -> None:
         raise ShapeError(f"content size {h}x{w} not divisible by encoder stride {s}")
 
 
-def transfer_with_maps(params: TransferParams, content: Tensor, noise: NoiseMapSet) -> Tensor:
+def transfer_with_maps(params: ParamSet, content: Tensor, noise: NoiseMapSet) -> Tensor:
     """Forward pass with explicit noise maps; differentiable in params."""
     c = params.config
     t = params.tensors
@@ -172,7 +157,7 @@ def transfer_with_maps(params: TransferParams, content: Tensor, noise: NoiseMapS
 
 
 def transfer(
-    params: TransferParams,
+    params: ParamSet,
     content: Tensor,
     selection: SelectionUnit,
     rng: np.random.Generator,
@@ -191,23 +176,11 @@ def transfer(
 
 
 def interpolate_styles(
-    params: TransferParams, content: Tensor, pairs: list, rng: np.random.Generator
+    params: ParamSet, content: Tensor, pairs: list, rng: np.random.Generator
 ) -> Tensor:
     """Blend styles by feeding a weighted sum of their noise maps."""
-    weights = np.zeros(params.config.styles)
-    seen = set()
-    for style_id, weight in pairs:
-        if not 1 <= style_id <= params.config.styles:
-            raise ValueError(
-                f"style id {style_id} out of range 1..{params.config.styles}"
-            )
-        if style_id in seen:
-            raise ValueError(f"style id {style_id} listed twice")
-        if weight < 0:
-            raise ValueError(f"negative weight {weight} for style {style_id}")
-        seen.add(style_id)
-        weights[style_id - 1] = weight
-    return transfer(params, content, SelectionUnit(weights), rng)
+    selection = weighted_selection(params.config.styles, pairs, "style")
+    return transfer(params, content, selection, rng)
 
 
 def content_loss(output: Tensor, content: Tensor, extractor: Extractor, tap: str = DIVERSITY_TAP) -> Tensor:
@@ -218,79 +191,18 @@ def content_loss(output: Tensor, content: Tensor, extractor: Extractor, tap: str
         )
     out_feat = extract(extractor, output, [tap])[tap]
     ref_feat = extract(extractor, content, [tap])[tap]
-    diff = ad.l1_norm(ad.sub(out_feat, ref_feat))
-    return ad.scale(diff, 1.0 / out_feat.size)
+    return content_distance(out_feat, ref_feat)
+
+
+def content_distance(out_feat: Tensor, ref_feat: Tensor) -> Tensor:
+    """L1 distance of two feature maps over the element count."""
+    return ad.scale(ad.l1_norm(ad.sub(out_feat, ref_feat)), 1.0 / out_feat.size)
 
 
 @dataclass
-class TransferConfig:
-    seed: int
-    K: int = 100
-    iterations: int | None = None
-    batch_size: int = 4
-    lr: float = 1e-3
-    alpha: float = 1.0  # style-loss coefficient
-    beta: float = -1.0  # diversity coefficient
+class TransferConfig(LoopConfig):
     content_weight: float = 1.0
     style_taps: tuple = TEXTURE_TAPS
-    diversity_tap: str = DIVERSITY_TAP
-    mode: str = "incremental"
-    diversity_normalize: bool = True
-
-    def __post_init__(self):
-        if self.beta != 0.0 and self.batch_size < 2:
-            raise ValueError(
-                f"batch size {self.batch_size} too small: "
-                "the diversity term needs pairs (use beta=0 for batch of 1)"
-            )
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-
-    def total_iterations(self, styles: int) -> int:
-        return self.iterations if self.iterations is not None else 3 * styles * self.K
-
-
-@dataclass
-class TransferLossLog:
-    """Per-iteration records with the content term appended."""
-
-    rows: list = field(default_factory=list)
-
-    HEADER = "iter,texture,l_texture,l_diversity,total,l_content"
-
-    def append(self, iteration, style, l_style, l_diversity, total, l_content) -> None:
-        if self.rows and iteration <= self.rows[-1][0]:
-            raise ValueError(
-                f"iteration {iteration} not after {self.rows[-1][0]}; log is append-only"
-            )
-        self.rows.append(
-            (
-                int(iteration),
-                int(style),
-                float(l_style),
-                float(l_diversity),
-                float(total),
-                float(l_content),
-            )
-        )
-
-    def save(self, path: str) -> None:
-        lines = [self.HEADER]
-        for it, st, ls, ld, tot, lc in self.rows:
-            lines.append(f"{it},{st},{ls!r},{ld!r},{tot!r},{lc!r}")
-        serialize.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
-
-    @classmethod
-    def load(cls, path: str) -> "TransferLossLog":
-        log = cls()
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != cls.HEADER:
-                raise ValueError(f"unexpected loss-log header {header!r}")
-            for line in f:
-                it, st, ls, ld, tot, lc = line.strip().split(",")
-                log.append(int(it), int(st), float(ls), float(ld), float(tot), float(lc))
-        return log
 
 
 def train_transfer(
@@ -301,7 +213,7 @@ def train_transfer(
     extractor: Extractor | None = None,
     log_every: int = 0,
 ) -> tuple:
-    """Train the transfer network; returns (params, TransferLossLog)."""
+    """Train the transfer network; returns (params, LossLog of LOG_COLUMNS)."""
     if not styles or not contents:
         raise ValueError("need at least one style and one content image")
     m = len(styles)
@@ -319,105 +231,45 @@ def train_transfer(
     ]
     params = init_transfer_params(net_config, config.seed)
     optimizer = Adam(params.parameters(), lr=config.lr)
-    schedule = Schedule(
-        mode=config.mode, K=config.K, M=m, rng=_rng.stream(config.seed, "schedule")
-    )
     noise_rng = _rng.stream(config.seed, "transfer-noise")
     derangement_rng = _rng.stream(config.seed, "derangement")
     content_rng = _rng.stream(config.seed, "transfer-content")
 
+    n, deep = config.batch_size, config.diversity_tap
     taps = tuple(config.style_taps)
-    if config.diversity_tap not in taps:
-        taps = taps + (config.diversity_tap,)
+    if deep not in taps:
+        taps = taps + (deep,)
 
-    log = TransferLossLog()
-    iterations = config.total_iterations(m)
-    for iteration in range(iterations):
-        style_id = schedule_texture(iteration, schedule)
+    def step(style_id):
         content = Tensor(content_arrays[int(content_rng.integers(len(content_arrays)))])
-        selection = np.zeros(m)
-        selection[style_id - 1] = 1.0
-        try:
-            record = _transfer_step(
-                params,
-                extractor,
-                targets[style_id - 1],
-                content,
-                SelectionUnit(selection),
-                config,
-                optimizer,
-                noise_rng,
-                derangement_rng,
-                taps,
-            )
-        except NonFiniteError as e:
-            raise TrainingError(
-                f"aborted at iteration {iteration} on style {style_id}: {e}"
-            ) from e
-        log.append(iteration, style_id, *record)
-        if log_every and (iteration + 1) % log_every == 0:
-            ls, ld, tot, lc = record
-            print(
-                f"iter {iteration + 1}/{iterations} style {style_id} "
-                f"l_style {ls:.4f} l_diversity {ld:.4f} l_content {lc:.4f} "
-                f"total {tot:.4f}",
-                flush=True,
-            )
+        selection = weighted_selection(m, [(style_id, 1.0)], "style")
+        content_feat = extract(extractor, content, [deep])[deep].detach()
+        style_sum = None
+        content_sum = None
+        div_feats = []
+        for _ in range(n):
+            out = transfer(params, content, selection, noise_rng)
+            feats = extract(extractor, out, taps)
+            term = texture_loss(targets[style_id - 1], feats)
+            style_sum = term if style_sum is None else ad.add(style_sum, term)
+            c_term = content_distance(feats[deep], content_feat)
+            content_sum = c_term if content_sum is None else ad.add(content_sum, c_term)
+            if config.beta != 0.0:
+                div_feats.append(feats[deep])
+        l_style = ad.scale(style_sum, 1.0 / n)
+        l_content = ad.scale(content_sum, 1.0 / n)
+        l_diversity = diversity_term(config, div_feats, derangement_rng, l_style.dtype)
+        loss = ad.add(
+            total_loss(l_style, l_diversity, config.alpha, config.beta),
+            ad.scale(l_content, config.content_weight),
+        )
+        params.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return float(l_style.data), float(l_diversity.data), float(loss.data), float(l_content.data)
+
+    log = fit(config, m, schedule_texture, step, LossLog(LOG_COLUMNS), log_every)
     return params, log
-
-
-def _transfer_step(
-    params,
-    extractor,
-    target,
-    content,
-    selection,
-    config,
-    optimizer,
-    noise_rng,
-    derangement_rng,
-    taps,
-):
-    n = config.batch_size
-    content_feat = extract(extractor, content, [config.diversity_tap])[
-        config.diversity_tap
-    ].detach()
-    style_sum = None
-    content_sum = None
-    div_feats = []
-    for _ in range(n):
-        out = transfer(params, content, selection, noise_rng)
-        feats = extract(extractor, out, taps)
-        term = texture_loss(target, {t: feats[t] for t in config.style_taps})
-        style_sum = term if style_sum is None else ad.add(style_sum, term)
-        out_deep = feats[config.diversity_tap]
-        c_term = ad.scale(
-            ad.l1_norm(ad.sub(out_deep, content_feat)), 1.0 / out_deep.size
-        )
-        content_sum = c_term if content_sum is None else ad.add(content_sum, c_term)
-        if config.beta != 0.0:
-            div_feats.append(out_deep)
-    l_style = ad.scale(style_sum, 1.0 / n)
-    l_content = ad.scale(content_sum, 1.0 / n)
-    if config.beta != 0.0:
-        l_diversity = diversity_loss(
-            div_feats, derangement_rng, normalize=config.diversity_normalize
-        )
-    else:
-        l_diversity = Tensor(np.zeros((), dtype=l_style.dtype))
-    loss = ad.add(
-        total_loss(l_style, l_diversity, config.alpha, config.beta),
-        ad.scale(l_content, config.content_weight),
-    )
-    params.zero_grad()
-    loss.backward()
-    optimizer.step()
-    return (
-        float(l_style.data),
-        float(l_diversity.data),
-        float(loss.data),
-        float(l_content.data),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,45 +278,28 @@ def _transfer_step(
 _CONFIG_KEY = "transfer.config"
 
 
-def save_transfer_model(params: TransferParams, path: str) -> None:
+def save_transfer_model(params: ParamSet, path: str) -> None:
     c = params.config
     header = np.array(
         [c.styles, c.noise_channels, len(c.enc_widths), *c.enc_widths, *c.dec_widths],
         dtype=np.float32,
     )
-    tensors = {_CONFIG_KEY: header}
-    for name, t in params.tensors.items():
-        tensors[name] = t.data.astype(np.float32, copy=False)
-    serialize.save_tensors(path, tensors)
+    serialize.save_params(path, params, _CONFIG_KEY, header)
 
 
-def load_transfer_model(path: str) -> TransferParams:
-    tensors = serialize.load_tensors(path)
-    if _CONFIG_KEY not in tensors:
-        raise serialize.WeightFormatError("model file lacks a transfer config header")
-    header = [int(v) for v in tensors.pop(_CONFIG_KEY).tolist()]
+def _layout(arr: np.ndarray) -> tuple:
+    header = [int(v) for v in arr.tolist()]
     if len(header) < 3:
         raise serialize.WeightFormatError(f"malformed transfer config {header}")
     styles, noise_channels, n_enc = header[0], header[1], header[2]
-    enc = tuple(header[3 : 3 + n_enc])
-    dec = tuple(header[3 + n_enc :])
     config = TransferNetConfig(
-        styles=styles, enc_widths=enc, dec_widths=dec, noise_channels=noise_channels
+        styles=styles,
+        enc_widths=tuple(header[3 : 3 + n_enc]),
+        dec_widths=tuple(header[3 + n_enc :]),
+        noise_channels=noise_channels,
     )
-    expected = _param_shapes(config)
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise serialize.WeightFormatError(
-                f"missing tensor '{name}' (expected shape {shape})"
-            )
-        if tensors[name].shape != shape:
-            raise serialize.WeightFormatError(
-                f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}"
-            )
-    extra = set(tensors) - set(expected)
-    if extra:
-        raise serialize.WeightFormatError(f"unexpected tensors {sorted(extra)}")
-    return TransferParams(
-        config=config,
-        tensors={n: Tensor(tensors[n], requires_grad=True) for n in expected},
-    )
+    return config, _param_shapes(config)
+
+
+def load_transfer_model(path: str) -> ParamSet:
+    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY))

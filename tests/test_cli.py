@@ -219,3 +219,39 @@ def test_no_partial_outputs_on_failure(workspace):
     ) == 1
     assert not (tmp / "synthesis.model").exists()
     assert not (tmp / "loss.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, missing, extra",
+    [
+        ("paths.model", "gone/synthesis.model", []),
+        ("paths.log", "gone/loss.csv", []),
+        ("train.checkpoint_dir", "gone", ["--set", "train.checkpoint_every=2"]),
+        ("paths.transfer_model", "gone/transfer.model", ["--transfer", "--resize", "16"]),
+        ("paths.log", "gone/loss.csv", ["--transfer", "--resize", "16"]),
+    ],
+)
+def test_train_checks_output_directories_before_training(
+    workspace, monkeypatch, capsys, key, missing, extra
+):
+    import texsyn.cli as cli
+
+    tmp, cfg = workspace
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append("train"))
+    monkeypatch.setattr(cli, "train_transfer", lambda *a, **k: calls.append("transfer"))
+    code = run("train", "--seed", "1", "--config", cfg, "--set", f"{key}={tmp}/{missing}", *extra)
+    assert code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert key in err and "does not exist" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--transfer", "--resize", "16"]])
+def test_non_finite_training_exits_2(workspace, capsys, extra):
+    tmp, cfg = workspace
+    section = "transfer" if extra else "train"
+    code = run("train", "--seed", "1", "--config", cfg, "--set", f"{section}.alpha=nan", *extra)
+    assert code == 2
+    assert "aborted at iteration 0" in capsys.readouterr().err
+    assert not (tmp / "loss.csv").exists()

@@ -6,7 +6,6 @@ import pytest
 from texsyn import generator as gn
 from texsyn.autodiff import ShapeError, Tensor
 from texsyn.generator import (
-    GeneratorParams,
     SelectionUnit,
     SynthesisConfig,
     embed,

@@ -5,6 +5,7 @@ this test file, which can emit any filter type and color type, so decode
 paths never validate themselves against the package's own writer alone.
 """
 
+import os
 import struct
 import zlib
 
@@ -195,6 +196,47 @@ def test_corrupt_idat_reports_offset(tmp_path):
     open(path, "wb").write(bytes(blob))
     offset, msg = err_offset(path)
     assert "corrupt image data" in msg
+
+
+def png_with_idat(width, height, idat):
+    def chunk(ctype, data):
+        return struct.pack(">I", len(data)) + ctype + data + struct.pack(
+            ">I", zlib.crc32(ctype + data)
+        )
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+    sig = b"\x89PNG\r\n\x1a\n"
+    return sig + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
+
+
+def test_decompression_bomb_rejected_in_bounded_memory(tmp_path):
+    import tracemalloc
+
+    # 64 MiB of zeros deflate to about 64 KB; the header promises 1x1 RGB
+    deflater = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(deflater.compress(zeros) for _ in range(64)) + deflater.flush()
+    path = str(tmp_path / "bomb.png")
+    open(path, "wb").write(png_with_idat(1, 1, idat))
+    assert os.path.getsize(path) < 70_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(PngError, match="inflate"):
+            load_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_truncated_image_stream_rejected(tmp_path):
+    raw = bytes(1 + 2 * 3) * 2  # two filter-0 rows of a 2x2 RGB image
+    path = str(tmp_path / "cut.png")
+    open(path, "wb").write(png_with_idat(2, 2, zlib.compress(raw)[:-4]))  # no checksum
+    with pytest.raises(PngError, match="inflate"):
+        load_image(path)
+    open(path, "wb").write(png_with_idat(2, 2, zlib.compress(raw)))
+    assert load_image(path).data.shape == (2, 2, 3)
 
 
 def test_missing_iend(tmp_path):

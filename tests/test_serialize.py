@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from texsyn import serialize
-from texsyn.serialize import WeightFormatError, load_tensors, save_tensors
+from texsyn.serialize import (
+    LOSS_COLUMNS,
+    LossLog,
+    WeightFormatError,
+    load_checked,
+    load_tensors,
+    save_tensors,
+)
+from texsyn.transfer import LOG_COLUMNS
 
 
 def sample_tensors():
@@ -101,3 +109,56 @@ def test_empty_mapping_roundtrips(tmp_path):
     path = str(tmp_path / "w.bin")
     save_tensors(path, {})
     assert load_tensors(path) == {}
+
+
+# ---------------------------------------------------------------------------
+# checked model files and loss logs
+
+
+def test_load_checked_returns_layout_order_and_config(tmp_path):
+    path = str(tmp_path / "m.bin")
+    tensors = sample_tensors()
+    save_tensors(path, {"head": np.array([2.0, 3.0], dtype=np.float32), **tensors})
+    names = ["delta", "alpha", "gamma", "beta.kernel"]
+
+    def layout(header):
+        return tuple(header.tolist()), {n: np.asarray(tensors[n]).shape for n in names}
+
+    config, arrays = load_checked(path, layout, "head")
+    assert config == (2.0, 3.0)
+    assert list(arrays) == names
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda t: t.pop("delta"), "missing tensor 'delta'"),
+        (lambda t: t.update(extra=np.zeros(1, np.float32)), "unexpected tensors"),
+        (lambda t: t.update(alpha=np.zeros((4, 3), np.float32)), r"'alpha' has shape \(4, 3\)"),
+        (lambda t: t.pop("head"), "lacks its 'head' config header"),
+    ],
+)
+def test_load_checked_rejects_other_layouts(tmp_path, change, message):
+    path = str(tmp_path / "m.bin")
+    expected = {n: np.asarray(a).shape for n, a in sample_tensors().items()}
+    tensors = {"head": np.zeros(1, np.float32), **sample_tensors()}
+    change(tensors)
+    save_tensors(path, tensors)
+    with pytest.raises(WeightFormatError, match=message):
+        load_checked(path, lambda header: (None, expected), "head")
+
+
+def test_losslog_rejects_rows_of_other_width():
+    with pytest.raises(ValueError, match="columns"):
+        LossLog(LOG_COLUMNS).append(0, 1, 1.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("columns", [LOSS_COLUMNS, LOG_COLUMNS])
+def test_failed_losslog_save_leaves_no_temporary_file(tmp_path, columns):
+    log = LossLog(columns)
+    log.append(0, 1, *[0.25] * (len(columns) - 2))
+    target = tmp_path / "log.csv"
+    target.mkdir()  # the rename onto a directory fails
+    with pytest.raises(OSError):
+        log.save(str(target))
+    assert os.listdir(tmp_path) == ["log.csv"]

@@ -13,6 +13,7 @@ from texsyn.trainer import (
     LossLog,
     Schedule,
     TrainConfig,
+    TrainingError,
     blend_targets,
     pixel_optimize,
     precompute_targets,
@@ -337,3 +338,65 @@ def test_train_rejects_mismatched_config():
     cfg = small_train_config()
     with pytest.raises(ValueError):
         train([exemplar(1)], cfg, synth_config=SMALL, extractor=EXT)
+
+
+# ---------------------------------------------------------------------------
+# failures and the hooks benchmarks patch
+
+
+def test_train_names_iteration_of_non_finite_loss():
+    cfg = small_train_config(texture_taps=("conv1_1",), alpha=float("nan"))
+    with pytest.raises(TrainingError, match="aborted at iteration 0 on texture 1"):
+        train(small_exemplars(), cfg, synth_config=SMALL, extractor=EXT)
+
+
+def test_train_names_a_later_failing_iteration(monkeypatch):
+    import texsyn.trainer as trainer
+    from texsyn.autodiff import NonFiniteError
+
+    real = trainer.train_step
+    calls = []
+
+    def fail_third(*args):
+        calls.append(args[3])
+        if len(calls) == 3:
+            raise NonFiniteError("non-finite values in output of 'scale'")
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "train_step", fail_third)
+    cfg = small_train_config(texture_taps=("conv1_1",), beta=0.0, batch_size=1)
+    with pytest.raises(TrainingError) as info:
+        train(small_exemplars(), cfg, synth_config=SMALL, extractor=EXT)
+    assert len(calls) == 3
+    assert str(info.value).startswith(f"aborted at iteration 2 on texture {calls[2]}: ")
+
+
+def test_train_calls_hooks_through_its_own_module(monkeypatch, tmp_path):
+    # benchmarks patch trainer.schedule_texture and trainer.save_model
+    import os
+
+    import texsyn.trainer as trainer
+    import texsyn.transfer as tf
+
+    picks, saves = [], []
+    real_pick, real_save = trainer.schedule_texture, trainer.save_model
+
+    def pick(iteration, schedule):
+        picks.append(iteration)
+        return real_pick(iteration, schedule)
+
+    def save(params, path):
+        saves.append(os.path.basename(path))
+        real_save(params, path)
+
+    monkeypatch.setattr(trainer, "schedule_texture", pick)
+    monkeypatch.setattr(tf, "schedule_texture", lambda it, s: picks.append("transfer"))
+    monkeypatch.setattr(trainer, "save_model", save)
+    cfg = small_train_config(
+        texture_taps=("conv1_1",), beta=0.0, batch_size=1, checkpoint_every=2,
+        checkpoint_dir=str(tmp_path),
+    )
+    train(small_exemplars(), cfg, synth_config=SMALL, extractor=EXT)
+    assert picks == [0, 1, 2, 3]
+    assert saves == ["checkpoint_2.model", "checkpoint_4.model"]
+    assert sorted(os.listdir(tmp_path)) == saves

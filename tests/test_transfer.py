@@ -7,11 +7,11 @@ from texsyn import rng as _rng
 from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
 from texsyn.extractor import ExtractorConfig, build_extractor
 from texsyn.generator import SelectionUnit
-from texsyn.serialize import WeightFormatError
+from texsyn.serialize import LossLog, WeightFormatError
 from texsyn.transfer import (
+    LOG_COLUMNS,
     NoiseMapSet,
     TransferConfig,
-    TransferLossLog,
     TransferNetConfig,
     content_loss,
     init_transfer_params,
@@ -229,7 +229,7 @@ def test_train_transfer_smoke_and_log_schema(tmp_path):
     log.save(path)
     with open(path) as f:
         assert f.readline().strip() == "iter,texture,l_texture,l_diversity,total,l_content"
-    assert TransferLossLog.load(path).rows == log.rows
+    assert LossLog.load(path, LOG_COLUMNS).rows == log.rows
 
 
 def test_train_transfer_reproducible():
@@ -240,6 +240,30 @@ def test_train_transfer_reproducible():
     assert log1.rows == log2.rows
     for name in p1.tensors:
         np.testing.assert_array_equal(p1.tensors[name].data, p2.tensors[name].data)
+
+
+def test_train_transfer_names_iteration_of_non_finite_loss():
+    from texsyn.trainer import TrainingError
+
+    cfg = TransferConfig(
+        seed=0, K=2, iterations=3, batch_size=2, style_taps=("conv1_1",), alpha=float("nan")
+    )
+    with pytest.raises(TrainingError, match="aborted at iteration 0 on texture 1"):
+        train_transfer(tiny_images(2, 80), tiny_images(1, 90), cfg, extractor=EXT)
+
+
+def test_train_transfer_picks_ids_through_its_own_module(monkeypatch):
+    # benchmarks time iterations by patching transfer.schedule_texture
+    import texsyn.trainer as trainer
+    import texsyn.transfer as tf
+
+    picks = []
+    real = tf.schedule_texture
+    monkeypatch.setattr(tf, "schedule_texture", lambda it, s: picks.append(it) or real(it, s))
+    monkeypatch.setattr(trainer, "schedule_texture", lambda it, s: picks.append("trainer"))
+    cfg = TransferConfig(seed=5, K=2, iterations=3, batch_size=2, style_taps=("conv1_1",))
+    train_transfer(tiny_images(2, 80), tiny_images(1, 90), cfg, extractor=EXT)
+    assert picks == [0, 1, 2]
 
 
 def test_train_transfer_validation():
