@@ -115,29 +115,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op!r})"
 
-    def __add__(self, other):
-        return add(self, _lift(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _lift(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
-
 
 def _result(data: np.ndarray, parents: tuple, grad_fn, op: str) -> Tensor:
     needs = any(p.requires_grad for p in parents)
@@ -355,19 +332,6 @@ def l1_norm(x: Tensor) -> Tensor:
 # structural primitives
 
 
-def outer_product(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("outer_product", a, b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(
-            f"outer_product: expected two 1-D tensors, got {a.shape} and {b.shape}"
-        )
-
-    def grad_fn(g):
-        return g @ b.data, g.T @ a.data
-
-    return _result(np.outer(a.data, b.data), (a, b), grad_fn, "outer_product")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("matmul", a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -451,6 +415,30 @@ def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
+def _correlate(win: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Windows [N,C,H',W',kh,kw] against kernel [O,C,kh,kw]: [N,O,H',W']."""
+    out = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _scatter(x: np.ndarray, kernel: np.ndarray, stride: int, size: tuple) -> np.ndarray:
+    """The adjoint of ``_correlate``: x [N,O,h,w] through kernel [O,C,kh,kw] to [N,C,*size]."""
+    n, _, h, w = x.shape
+    _, c, kh, kw = kernel.shape
+    out = np.zeros((n, c) + size, dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            # [n,h,w,c] contribution of kernel tap (u, v)
+            t = np.tensordot(x, kernel[:, :, u, v], axes=([1], [0]))
+            out[
+                :,
+                :,
+                u : u + stride * (h - 1) + 1 : stride,
+                v : v + stride * (w - 1) + 1 : stride,
+            ] += t.transpose(0, 3, 1, 2)
+    return out
+
+
 def conv2d(
     input: Tensor,
     kernel: Tensor,
@@ -491,27 +479,15 @@ def conv2d(
         else input.data
     )
     win = _windows(padded, kh, kw, stride)
-    out = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = _correlate(win, kernel.data)
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
-    oh, ow = out.shape[2], out.shape[3]
 
     def grad_fn(g):
         g = np.ascontiguousarray(g)
         grad_in = None
         if input.requires_grad:
-            gpad = np.zeros_like(padded)
-            for u in range(kh):
-                for v in range(kw):
-                    # [n,oh,ow,c] contribution of kernel tap (u, v)
-                    t = np.tensordot(g, kernel.data[:, :, u, v], axes=([1], [0]))
-                    gpad[
-                        :,
-                        :,
-                        u : u + stride * (oh - 1) + 1 : stride,
-                        v : v + stride * (ow - 1) + 1 : stride,
-                    ] += t.transpose(0, 3, 1, 2)
+            gpad = _scatter(g, kernel.data, stride, padded.shape[2:])
             grad_in = gpad[:, :, pad : pad + h, pad : pad + w] if pad else gpad
         grad_k = None
         if kernel.requires_grad:
@@ -546,27 +522,12 @@ def full_conv2d(input: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     if stride < 1:
         raise ShapeError(f"full_conv2d: stride must be >= 1, got {stride}")
 
-    oh = (h - 1) * stride + kh
-    ow = (w - 1) * stride + kw
-    out = np.zeros((n, o, oh, ow), dtype=input.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            t = np.tensordot(input.data, kernel.data[:, :, u, v], axes=([1], [0]))
-            out[
-                :,
-                :,
-                u : u + stride * (h - 1) + 1 : stride,
-                v : v + stride * (w - 1) + 1 : stride,
-            ] += t.transpose(0, 3, 1, 2)
-    _check_finite(out, "full_conv2d")
+    size = ((h - 1) * stride + kh, (w - 1) * stride + kw)
+    out = _scatter(input.data, kernel.data, stride, size)
 
     def grad_fn(g):
-        g = np.ascontiguousarray(g)
-        win = _windows(g, kh, kw, stride)
-        grad_in = None
-        if input.requires_grad:
-            grad_in = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-            grad_in = np.ascontiguousarray(grad_in.transpose(0, 3, 1, 2))
+        win = _windows(np.ascontiguousarray(g), kh, kw, stride)
+        grad_in = _correlate(win, kernel.data) if input.requires_grad else None
         grad_k = None
         if kernel.requires_grad:
             grad_k = np.tensordot(input.data, win, axes=([0, 2, 3], [0, 2, 3]))

@@ -28,11 +28,11 @@ from .autodiff import NonFiniteError, Tensor
 from .extractor import build_extractor
 from .generator import (
     generate,
-    interpolate_selection,
     load_model,
     one_hot,
     sample_noise,
     save_model,
+    weighted_selection,
 )
 from .images import denormalize, load_image, normalize, resize_box, save_image
 from .rng import stream
@@ -160,8 +160,8 @@ def cmd_interpolate(args) -> int:
     for i in range(steps):
         weight = 1.0 - i / (steps - 1)
         bits = [(a, weight), (b, 1.0 - weight)]
-        selection = interpolate_selection(
-            params.config, [(t, w) for t, w in bits if w > 0.0]
+        selection = weighted_selection(
+            params.config.textures, [(t, w) for t, w in bits if w > 0.0]
         )
         image = denormalize(generate(params, selection, noise))
         path = _out_path(run, f"interp{a}to{b}_s{args.seed}_{i}.png")

@@ -87,10 +87,6 @@ def _fmt_default(value) -> str:
 
 
 REGISTRY: dict = {
-    "run.seed": Setting(_int, 0, "master seed; the --seed flag overrides it"),
-    "synthesis.textures": Setting(
-        _opt_int, None, "selection-unit width; 'auto' infers from the exemplar count"
-    ),
     "synthesis.embed_dim": Setting(_int, 8, "texture embedding width"),
     "synthesis.noise_dim": Setting(_int, 5, "noise vector length"),
     "synthesis.base_size": Setting(_int, 4, "spatial size of the seed maps"),
@@ -241,13 +237,8 @@ def _build(cls, config: RunConfig, section: str, **given):
     return cls(**given, **{name: config.get(f"{section}.{name}") for name in names})
 
 
-def synthesis_config(config: RunConfig, textures: int | None = None) -> SynthesisConfig:
-    m = config.get("synthesis.textures") if textures is None else textures
-    if m is None:
-        raise ConfigError(
-            "synthesis.textures is 'auto' but no exemplar count is available"
-        )
-    return _build(SynthesisConfig, config, "synthesis", textures=m)
+def synthesis_config(config: RunConfig, textures: int) -> SynthesisConfig:
+    return _build(SynthesisConfig, config, "synthesis", textures=textures)
 
 
 def extractor_config(config: RunConfig) -> ExtractorConfig:

@@ -120,10 +120,6 @@ def build_extractor(config: ExtractorConfig = ExtractorConfig()) -> Extractor:
     return Extractor(config=config, weights=weights)
 
 
-def save_extractor(extractor: Extractor, path: str) -> None:
-    serialize.save_tensors(path, extractor.weights)
-
-
 def extract(extractor: Extractor, image: Tensor, taps=None) -> dict:
     """Run the extractor and return {tap name: feature Tensor}.
 

@@ -53,7 +53,7 @@ class SynthesisConfig:
 
 @dataclass
 class SelectionUnit:
-    """Nonnegative per-texture weights; one-hot during training."""
+    """Finite nonnegative per-texture weights; one-hot during training."""
 
     weights: np.ndarray
 
@@ -61,18 +61,13 @@ class SelectionUnit:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ShapeError(f"selection must be 1-D, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ValueError("selection weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError(f"selection weights must be finite and nonnegative, got {w.tolist()}")
         self.weights = w
 
 
 def one_hot(config: SynthesisConfig, texture_id: int) -> SelectionUnit:
     return weighted_selection(config.textures, [(texture_id, 1.0)])
-
-
-def interpolate_selection(config: SynthesisConfig, bits: list) -> SelectionUnit:
-    """Sparse selection from (texture id, weight) pairs, ids 1-based."""
-    return weighted_selection(config.textures, bits)
 
 
 def weighted_selection(count: int, pairs: list, what: str = "texture") -> SelectionUnit:
@@ -84,8 +79,6 @@ def weighted_selection(count: int, pairs: list, what: str = "texture") -> Select
             raise ValueError(f"{what} id {k} out of range 1..{count}")
         if k in seen:
             raise ValueError(f"{what} id {k} listed twice")
-        if weight < 0:
-            raise ValueError(f"negative weight {weight} for {what} {k}")
         seen.add(k)
         w[k - 1] = weight
     return SelectionUnit(w)
@@ -146,8 +139,8 @@ def embed(params: ParamSet, selection: SelectionUnit) -> Tensor:
 
 def seed_maps(noise: Tensor, embedding: Tensor) -> Tensor:
     """Outer product of noise and embedding as n*d separate 1x1 maps."""
-    out = ad.outer_product(noise, embedding)
-    n, d = out.shape
+    n, d = noise.size, embedding.size
+    out = ad.matmul(ad.reshape(noise, (n, 1)), ad.reshape(embedding, (1, d)))
     return ad.reshape(out, (1, n * d, 1, 1))
 
 
@@ -242,9 +235,7 @@ def _config_array(config: SynthesisConfig) -> np.ndarray:
 
 
 def _layout(arr: np.ndarray) -> tuple:
-    vals = [int(v) for v in arr.tolist()]
-    if len(vals) < 7 or any(float(v) != float(o) for v, o in zip(vals, arr.tolist())):
-        raise serialize.WeightFormatError(f"malformed config header {arr.tolist()}")
+    vals = serialize.header_ints(arr, _CONFIG_KEY, 7)
     config = SynthesisConfig(
         textures=vals[0],
         embed_dim=vals[1],

@@ -95,10 +95,6 @@ def _primitive_cases(rng):
         "mean": lambda: (lambda a: ad.mean(a), [arr(4, 4)]),
         "sum": lambda: (lambda a: a.sum(), [arr(3, 3)]),
         "l1_norm": lambda: (lambda a: ad.l1_norm(a), [karr(4, 4)]),
-        "outer_product": lambda: (
-            lambda a, b: ad.outer_product(a, b).sum(),
-            [arr(4), arr(3)],
-        ),
         "matmul": lambda: (lambda a, b: ad.matmul(a, b).sum(), [arr(3, 4), arr(4, 2)]),
         "concat_channels": lambda: (
             lambda a, b: ad.concat_channels(a, b).sum(),
@@ -160,10 +156,10 @@ def _composite_setup(seed: int):
     noises = [rng.uniform(-1, 1, synth.noise_dim) for _ in range(2)]
     goal = centered_gram(
         Tensor(rng.standard_normal((4, 4, 4)), dtype=CHECK_DTYPE)
-    ).values.data
+    ).data
     goal2 = centered_gram(
         Tensor(rng.standard_normal((6, 2, 2)), dtype=CHECK_DTYPE)
-    ).values.data
+    ).data
     target = TextureTarget(texture_id=1, grams={"conv1_1": goal, "conv2_1": goal2})
     sigma_rng_seed = seed + 3
     names = list(params.tensors)

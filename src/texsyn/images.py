@@ -54,10 +54,6 @@ class ImageBuffer:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return 3
-
 
 # channels per PNG color type we accept (all at bit depth 8)
 _TYPE_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}

@@ -25,15 +25,6 @@ TEXTURE_TAPS = ("conv1_1", "conv2_1", "conv3_1", "conv4_1", "conv5_1")
 
 
 @dataclass
-class GramMatrix:
-    """Channel-by-channel feature covariance of one tap."""
-
-    values: Tensor  # [C, C]
-    layer: str | None
-    normalization: float  # divisor applied: spatial position count H*W
-
-
-@dataclass
 class TextureTarget:
     """Precomputed centered Gram matrices of one exemplar image."""
 
@@ -48,34 +39,29 @@ def _flatten_spatial(features: Tensor) -> tuple:
     return ad.reshape(features, (c, h * w)), h * w
 
 
-def gram(features: Tensor, layer: str | None = None) -> GramMatrix:
+def gram(features: Tensor) -> Tensor:
     """G[i,j] = (1/(H*W)) * sum_k F[i,k]*F[j,k] over spatial positions k."""
     flat, positions = _flatten_spatial(features)
-    g = ad.scale(ad.matmul(flat, ad.transpose2d(flat)), 1.0 / positions)
-    return GramMatrix(values=g, layer=layer, normalization=float(positions))
+    return ad.scale(ad.matmul(flat, ad.transpose2d(flat)), 1.0 / positions)
 
 
-def centered_gram(features: Tensor, layer: str | None = None) -> GramMatrix:
+def centered_gram(features: Tensor) -> Tensor:
     """Gram of features with the layer's scalar mean activation removed."""
     flat, positions = _flatten_spatial(features)
     centered = ad.sub(flat, ad.mean(flat))
-    g = ad.scale(ad.matmul(centered, ad.transpose2d(centered)), 1.0 / positions)
-    return GramMatrix(values=g, layer=layer, normalization=float(positions))
+    return ad.scale(ad.matmul(centered, ad.transpose2d(centered)), 1.0 / positions)
 
 
-def texture_loss(target: TextureTarget, output_feats: dict, layer_weights=None) -> Tensor:
-    """Weighted L1 distance between target and output centered Grams."""
+def texture_loss(target: TextureTarget, output_feats: dict) -> Tensor:
+    """L1 distance between target and output centered Grams, summed over taps."""
     missing = [tap for tap in target.grams if tap not in output_feats]
     if missing:
         raise ValueError(f"output features missing taps {missing}")
     total = None
     for tap, goal in target.grams.items():
-        weight = 1.0 if layer_weights is None else float(layer_weights[tap])
-        out_gram = centered_gram(output_feats[tap], layer=tap)
-        goal_t = Tensor(goal, dtype=out_gram.values.dtype)
-        term = ad.l1_norm(ad.sub(out_gram.values, goal_t))
-        if weight != 1.0:
-            term = ad.scale(term, weight)
+        out_gram = centered_gram(output_feats[tap])
+        goal_t = Tensor(goal, dtype=out_gram.dtype)
+        term = ad.l1_norm(ad.sub(out_gram, goal_t))
         total = term if total is None else ad.add(total, term)
     if total is None:
         raise ValueError("target has no taps")

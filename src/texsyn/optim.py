@@ -39,7 +39,3 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
             p.data = p.data - update.astype(p.data.dtype, copy=False)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()

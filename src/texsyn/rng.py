@@ -33,12 +33,10 @@ def _stream_id(name: str) -> int:
     return 0x10000 + zlib.crc32(name.encode())
 
 
-def stream(master_seed: int, name: str, *extra: int) -> np.random.Generator:
+def stream(master_seed: int, name: str) -> np.random.Generator:
     """An independent generator for the stream ``name``.
 
-    ``extra`` integers sub-split a stream, e.g. one noise stream per
-    sample index.  The same (seed, name, extra) always yields the same
-    generator state.
+    The same (seed, name) always yields the same generator state.
     """
-    seq = np.random.SeedSequence([int(master_seed), _stream_id(name), *map(int, extra)])
+    seq = np.random.SeedSequence([int(master_seed), _stream_id(name)])
     return np.random.Generator(np.random.PCG64(seq))

@@ -22,6 +22,7 @@ which is renamed over the destination only once fully written.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -108,6 +109,16 @@ def load_checked(path: str, layout, header: str | None = None) -> tuple:
     return config, {name: tensors[name] for name in expected}
 
 
+def header_ints(arr: np.ndarray, header: str, least: int) -> list:
+    """Config-header integers; WeightFormatError unless 1-D, >= ``least`` long, finite, integral."""
+    values = arr.tolist()
+    if arr.ndim != 1 or len(values) < least or not all(
+        math.isfinite(v) and v == int(v) for v in values
+    ):
+        raise WeightFormatError(f"malformed '{header}' config header {values}")
+    return [int(v) for v in values]
+
+
 LOSS_COLUMNS = ("iter", "texture", "l_texture", "l_diversity", "total")
 
 
@@ -171,11 +182,16 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFormatError(f"tensor name before offset {off} is not UTF-8") from None
+        if name in tensors:
+            raise WeightFormatError(f"tensor '{name}' stored twice")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = take(4 * n_items, f"data of '{name}'")
+        # Python ints cannot wrap; take() bounds the size by the bytes left
+        data = take(4 * math.prod(dims), f"data of '{name}'")
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
     if off != len(blob):
         raise WeightFormatError(f"{len(blob) - off} trailing bytes at offset {off}")

@@ -12,8 +12,7 @@ the loop itself; the transfer trainer runs the same one.
 
 pixel_optimize performs the same texture-loss minimization directly on
 image pixels, with no generator involved.  It is the slow reference the
-feed-forward path is measured against, and also synthesizes blends of two
-targets' statistics.
+feed-forward path is measured against.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .losses import (
     DIVERSITY_TAP,
     TEXTURE_TAPS,
     TextureTarget,
+    centered_gram,
     diversity_loss,
     texture_loss,
     total_loss,
@@ -160,8 +160,6 @@ def fit(
 
 def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS, size=None) -> list:
     """Centered Grams of each exemplar at the texture taps, ids 1-based."""
-    from .losses import centered_gram
-
     targets = []
     for k, image in enumerate(exemplars, start=1):
         arr = image.data if isinstance(image, Tensor) else np.asarray(image)
@@ -172,21 +170,9 @@ def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS,
                 f"exemplar {k} is {arr.shape[1]}x{arr.shape[2]}, expected {size}x{size}"
             )
         feats = extract(extractor, Tensor(arr), taps)
-        grams = {tap: centered_gram(feats[tap], layer=tap).values.data for tap in taps}
+        grams = {tap: centered_gram(feats[tap]).data for tap in taps}
         targets.append(TextureTarget(texture_id=k, grams=grams))
     return targets
-
-
-def blend_targets(a: TextureTarget, b: TextureTarget, weight: float) -> TextureTarget:
-    """Statistics of an in-between texture: weight*a + (1-weight)*b."""
-    if set(a.grams) != set(b.grams):
-        raise ValueError("targets cover different taps")
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"blend weight {weight} outside [0, 1]")
-    grams = {
-        tap: weight * a.grams[tap] + (1.0 - weight) * b.grams[tap] for tap in a.grams
-    }
-    return TextureTarget(texture_id=0, grams=grams)
 
 
 def diversity_term(config: LoopConfig, feats: list, rng: np.random.Generator, dtype) -> Tensor:
@@ -206,7 +192,7 @@ def train_step(
     noise_rng: np.random.Generator,
     derangement_rng: np.random.Generator,
 ) -> tuple:
-    """One optimization step; mutates params in place, returns (params, record)."""
+    """One optimization step; mutates params, returns (texture, diversity, total) losses."""
     selection = one_hot(params.config, texture_id)
     taps = tuple(config.texture_taps)
     if config.beta != 0.0 and config.diversity_tap not in taps:
@@ -231,8 +217,7 @@ def train_step(
     params.zero_grad()
     loss.backward()
     optimizer.step()
-    record = (texture_id, float(l_texture.data), float(l_diversity.data), float(loss.data))
-    return params, record
+    return float(l_texture.data), float(l_diversity.data), float(loss.data)
 
 
 def train(
@@ -265,10 +250,9 @@ def train(
     derangement_rng = _rng.stream(config.seed, "derangement")
 
     def step(texture_id):
-        _, record = train_step(
+        return train_step(
             params, extractor, targets, texture_id, config, optimizer, noise_rng, derangement_rng
         )
-        return record[1:]
 
     def save(done):
         save_model(params, os.path.join(config.checkpoint_dir, f"checkpoint_{done}.model"))

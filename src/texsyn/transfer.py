@@ -90,28 +90,14 @@ def init_transfer_params(config: TransferNetConfig, seed: int) -> ParamSet:
     return ParamSet.of(config, arrays)
 
 
-@dataclass
-class NoiseMapSet:
-    """Per-style bottleneck noise; zero wherever the style is unselected."""
-
-    weights: np.ndarray  # [M_s]
-    maps: np.ndarray  # [M_s * noise_channels, h, w], already weight-scaled
-
-    def __post_init__(self):
-        channels = self.maps.shape[0] // len(self.weights)
-        for i, w in enumerate(self.weights):
-            if w == 0.0 and np.any(self.maps[i * channels : (i + 1) * channels]):
-                raise ValueError(f"style {i + 1} has weight 0 but a nonzero noise map")
-
-
 def sample_noise_maps(
     config: TransferNetConfig, spatial: tuple, weights: np.ndarray, rng: np.random.Generator
-) -> NoiseMapSet:
+) -> np.ndarray:
     """Draw weight * uniform[-1,1] maps for selected styles, zeros elsewhere.
 
-    Styles are visited in index order and unselected styles consume no
-    randomness, so a single (k, 1.0) selection reproduces the one-hot
-    draw stream exactly.
+    Returns [M_s * noise_channels, h, w] float32.  Styles are visited in
+    index order and unselected styles consume no randomness, so a single
+    (k, 1.0) selection reproduces the one-hot draw stream exactly.
     """
     h, w = spatial
     ch = config.noise_channels
@@ -120,40 +106,7 @@ def sample_noise_maps(
         if weight != 0.0:
             draw = rng.uniform(-1.0, 1.0, size=(ch, h, w))
             maps[i * ch : (i + 1) * ch] = (weight * draw).astype(np.float32)
-    return NoiseMapSet(weights=np.asarray(weights, dtype=np.float64), maps=maps)
-
-
-def _check_content(config: TransferNetConfig, content: Tensor) -> None:
-    if content.data.ndim != 3 or content.shape[0] != 3:
-        raise ShapeError(f"content must be [3,H,W], got shape {content.shape}")
-    h, w = content.shape[1], content.shape[2]
-    s = config.stride
-    if h % s or w % s:
-        raise ShapeError(f"content size {h}x{w} not divisible by encoder stride {s}")
-
-
-def transfer_with_maps(params: ParamSet, content: Tensor, noise: NoiseMapSet) -> Tensor:
-    """Forward pass with explicit noise maps; differentiable in params."""
-    c = params.config
-    t = params.tensors
-    _check_content(c, content)
-    x = ad.reshape(content, (1,) + content.shape)
-    for i in range(1, len(c.enc_widths) + 1):
-        x = ad.leaky_relu(
-            ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1), 0.2
-        )
-    expected = (c.styles * c.noise_channels, x.shape[2], x.shape[3])
-    if noise.maps.shape != expected:
-        raise ShapeError(f"noise maps shaped {noise.maps.shape}, expected {expected}")
-    x = ad.concat_channels(x, Tensor(noise.maps.reshape((1,) + expected), dtype=x.dtype))
-    for i in range(1, len(c.dec_widths) + 1):
-        if i > 1:
-            x = ad.upsample_nearest(x, 2)
-        x = ad.leaky_relu(
-            ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1), 0.2
-        )
-    x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
-    return ad.reshape(x, (3,) + content.shape[1:])
+    return maps
 
 
 def transfer(
@@ -162,17 +115,39 @@ def transfer(
     selection: SelectionUnit,
     rng: np.random.Generator,
 ) -> Tensor:
-    """Stylize content under the selection's weights; same spatial size out."""
-    if selection.weights.shape != (params.config.styles,):
+    """Stylize content under the selection's weights; same spatial size out.
+
+    Differentiable in params.  The selection's noise maps join the encoder
+    output at the bottleneck.
+    """
+    c = params.config
+    t = params.tensors
+    if selection.weights.shape != (c.styles,):
         raise ShapeError(
             f"selection has {selection.weights.shape[0]} weights, "
-            f"model holds {params.config.styles} styles"
+            f"model holds {c.styles} styles"
         )
-    _check_content(params.config, content)
-    s = params.config.stride
-    spatial = (content.shape[1] // s, content.shape[2] // s)
-    noise = sample_noise_maps(params.config, spatial, selection.weights, rng)
-    return transfer_with_maps(params, content, noise)
+    if content.data.ndim != 3 or content.shape[0] != 3:
+        raise ShapeError(f"content must be [3,H,W], got shape {content.shape}")
+    h, w = content.shape[1], content.shape[2]
+    s = c.stride
+    if h % s or w % s:
+        raise ShapeError(f"content size {h}x{w} not divisible by encoder stride {s}")
+    noise = sample_noise_maps(c, (h // s, w // s), selection.weights, rng)
+    x = ad.reshape(content, (1,) + content.shape)
+    for i in range(1, len(c.enc_widths) + 1):
+        x = ad.leaky_relu(
+            ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1), 0.2
+        )
+    x = ad.concat_channels(x, Tensor(noise.reshape((1,) + noise.shape), dtype=x.dtype))
+    for i in range(1, len(c.dec_widths) + 1):
+        if i > 1:
+            x = ad.upsample_nearest(x, 2)
+        x = ad.leaky_relu(
+            ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1), 0.2
+        )
+    x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
+    return ad.reshape(x, (3, h, w))
 
 
 def interpolate_styles(
@@ -288,9 +263,7 @@ def save_transfer_model(params: ParamSet, path: str) -> None:
 
 
 def _layout(arr: np.ndarray) -> tuple:
-    header = [int(v) for v in arr.tolist()]
-    if len(header) < 3:
-        raise serialize.WeightFormatError(f"malformed transfer config {header}")
+    header = serialize.header_ints(arr, _CONFIG_KEY, 3)
     styles, noise_channels, n_enc = header[0], header[1], header[2]
     config = TransferNetConfig(
         styles=styles,

@@ -219,7 +219,11 @@ def test_grad_reshape_transpose_mean_l1():
 
 
 def test_grad_outer_matmul():
-    check_grads(lambda x, y: ad.outer_product(x, y).sum(), [arr(3), arr(5)])
+    # the generator's seed maps: an outer product as a matmul of reshapes
+    check_grads(
+        lambda x, y: ad.matmul(ad.reshape(x, (3, 1)), ad.reshape(y, (1, 5))).sum(),
+        [arr(3), arr(5)],
+    )
     check_grads(lambda x, y: ad.matmul(x, y).sum(), [arr(3, 4), arr(4, 2)])
 
 
@@ -339,8 +343,6 @@ def test_shape_errors():
         ad.matmul(a, a)
     with pytest.raises(ShapeError):
         ad.reshape(a, (4, 4))
-    with pytest.raises(ShapeError):
-        ad.outer_product(a, a)
     with pytest.raises(ShapeError):
         ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ShapeError):

@@ -247,6 +247,51 @@ def test_train_checks_output_directories_before_training(
     assert key in err and "does not exist" in err
 
 
+def untrained_models(tmp):
+    """Freshly initialized synthesis and transfer models at the paths of the workspace."""
+    from texsyn import config as cfg
+    from texsyn.generator import init_params, save_model
+    from texsyn.transfer import init_transfer_params, save_transfer_model
+
+    run_config = cfg.parse_config(TINY_CFG)
+    save_model(init_params(cfg.synthesis_config(run_config, 2), 0), str(tmp / "synthesis.model"))
+    net = cfg.transfer_net_config(run_config, styles=2)
+    save_transfer_model(init_transfer_params(net, 0), str(tmp / "transfer.model"))
+
+
+@pytest.mark.parametrize("mix", ["1:nan", "1:inf", "1:-inf"])
+def test_non_finite_mix_weight_is_a_user_error(workspace, capsys, mix):
+    tmp, cfg = workspace
+    untrained_models(tmp)
+    content = str(tmp / "exemplar1.png")
+    assert run("transfer", "--seed", "1", "--config", cfg, "--content", content, "--mix", mix) == 1
+    assert "finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ("synthesis.model", ["synth", "--texture", "1"]),
+        ("transfer.model", ["transfer", "--style", "1", "--content", "exemplar1.png"]),
+    ],
+    ids=["synth", "transfer"],
+)
+def test_non_finite_model_header_is_a_user_error(workspace, capsys, value, model, argv):
+    from texsyn import serialize
+
+    tmp, cfg = workspace
+    untrained_models(tmp)
+    path = str(tmp / model)
+    tensors = serialize.load_tensors(path)
+    header = next(name for name in tensors if name.endswith(".config"))
+    tensors[header][1] = value
+    serialize.save_tensors(path, tensors)
+    argv = [str(tmp / a) if a.endswith(".png") else a for a in argv]
+    assert run(argv[0], "--seed", "1", "--config", cfg, *argv[1:]) == 1
+    assert f"malformed '{header}' config header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [[], ["--transfer", "--resize", "16"]])
 def test_non_finite_training_exits_2(workspace, capsys, extra):
     tmp, cfg = workspace

@@ -113,7 +113,6 @@ def test_documented_defaults_parse_back():
 def test_builders_produce_configured_objects():
     config = parse_config(
         """
-        synthesis.textures = 2
         synthesis.scales = 2
         synthesis.widths = 12, 12, 8
         synthesis.guidance_channels = 4
@@ -128,7 +127,7 @@ def test_builders_produce_configured_objects():
         transfer.content_weight = 2.5
         """
     )
-    synth = synthesis_config(config)
+    synth = synthesis_config(config, textures=2)
     assert synth.textures == 2 and synth.widths == (12, 12, 8)
     ext = extractor_config(config)
     assert ext.stage_channels == (4, 8) and ext.taps == ("conv1_1", "conv2_1")
@@ -140,10 +139,9 @@ def test_builders_produce_configured_objects():
     assert nc.styles == 2 and nc.enc_widths == (8,) and nc.dec_widths == (8, 8)
 
 
-def test_textures_auto_needs_exemplar_count():
-    config = default_config()
-    with pytest.raises(ConfigError, match="auto"):
-        synthesis_config(config)
-    assert synthesis_config(config, textures=3).textures == 3
-    config.set("synthesis.textures", "2")
-    assert synthesis_config(config).textures == 2
+@pytest.mark.parametrize("key", ["run.seed", "synthesis.textures"])
+def test_keys_nothing_reads_are_unknown(key):
+    # --seed sets the seed; the texture count comes from the exemplars
+    # or the model file
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config(f"{key} = 2\n")

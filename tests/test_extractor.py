@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
+from texsyn import serialize
 from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
-from texsyn.extractor import (
-    DEFAULT_TAPS,
-    ExtractorConfig,
-    build_extractor,
-    extract,
-    save_extractor,
-)
+from texsyn.extractor import DEFAULT_TAPS, ExtractorConfig, build_extractor, extract
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +125,7 @@ def test_gradient_wrt_image_matches_finite_differences(ext):
 
 def test_weight_file_roundtrip(ext, tmp_path):
     path = str(tmp_path / "extractor.bin")
-    save_extractor(ext, path)
+    serialize.save_tensors(path, ext.weights)
     loaded = build_extractor(ExtractorConfig(seed=11, weight_file=path))
     assert loaded.signature() == ext.signature()
     img = Tensor(rand_image())
@@ -140,8 +135,6 @@ def test_weight_file_roundtrip(ext, tmp_path):
 
 
 def test_malformed_weight_file_names_expected_shape(ext, tmp_path):
-    from texsyn import serialize
-
     path = str(tmp_path / "bad.bin")
     weights = dict(ext.weights)
     weights["conv1_1.kernel"] = np.zeros((2, 2), dtype=np.float32)

@@ -11,12 +11,12 @@ from texsyn.generator import (
     embed,
     generate,
     init_params,
-    interpolate_selection,
     load_model,
     one_hot,
     save_model,
     seed_maps,
     selector_guidance,
+    weighted_selection,
 )
 from texsyn.serialize import WeightFormatError
 
@@ -63,7 +63,7 @@ def test_embed_zero_selection_zero(params):
 
 
 def test_embed_linear_midpoint(params):
-    e = embed(params, interpolate_selection(CFG, [(1, 0.5), (2, 0.5)]))
+    e = embed(params, weighted_selection(3, [(1, 0.5), (2, 0.5)]))
     rows = params.tensors["embedding"].data
     np.testing.assert_allclose(e.data, 0.5 * (rows[0] + rows[1]), atol=1e-6)
 
@@ -129,27 +129,28 @@ def test_generate_depends_on_noise_and_selection(params):
 
 def test_one_hot_equivalence_bit_exact(params):
     for k in range(1, 4):
-        via_interp = generate(params, interpolate_selection(CFG, [(k, 1.0)]), noise(3))
+        via_interp = generate(params, weighted_selection(3, [(k, 1.0)]), noise(3))
         via_one_hot = generate(params, one_hot(CFG, k), noise(3))
         np.testing.assert_array_equal(via_interp.data, via_one_hot.data)
 
 
-def test_interpolate_selection_validation():
-    sel = interpolate_selection(CFG, [(1, 0.3), (3, 0.7)])
+def test_weighted_selection_validation():
+    sel = weighted_selection(3, [(1, 0.3), (3, 0.7)])
     np.testing.assert_allclose(sel.weights, [0.3, 0.0, 0.7])
-    assert interpolate_selection(CFG, []).weights.sum() == 0.0
-    with pytest.raises(ValueError):
-        interpolate_selection(CFG, [(4, 1.0)])
-    with pytest.raises(ValueError):
-        interpolate_selection(CFG, [(0, 1.0)])
-    with pytest.raises(ValueError):
-        interpolate_selection(CFG, [(1, 0.5), (1, 0.5)])
-    with pytest.raises(ValueError):
-        interpolate_selection(CFG, [(1, -0.1)])
+    assert weighted_selection(3, []).weights.sum() == 0.0
+    with pytest.raises(ValueError, match="out of range"):
+        weighted_selection(3, [(4, 1.0)])
+    with pytest.raises(ValueError, match="out of range"):
+        weighted_selection(3, [(0, 1.0)])
+    with pytest.raises(ValueError, match="listed twice"):
+        weighted_selection(3, [(1, 0.5), (1, 0.5)])
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            weighted_selection(3, [(1, bad)])
 
 
 def test_empty_selection_still_generates(params):
-    img = generate(params, interpolate_selection(CFG, []), noise())
+    img = generate(params, weighted_selection(3, []), noise())
     assert img.shape == (3, 32, 32)
 
 
@@ -217,7 +218,8 @@ def test_model_shape_mismatch_rejected(params, tmp_path):
 
 
 def test_selection_unit_rejects_negative_and_matrix():
-    with pytest.raises(ValueError):
-        SelectionUnit(np.array([0.5, -0.5]))
+    for bad in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SelectionUnit(np.array([0.5, bad]))
     with pytest.raises(ShapeError):
         SelectionUnit(np.ones((2, 2)))

@@ -11,6 +11,7 @@ from texsyn.serialize import (
     LOSS_COLUMNS,
     LossLog,
     WeightFormatError,
+    header_ints,
     load_checked,
     load_tensors,
     save_tensors,
@@ -109,6 +110,53 @@ def test_empty_mapping_roundtrips(tmp_path):
     path = str(tmp_path / "w.bin")
     save_tensors(path, {})
     assert load_tensors(path) == {}
+
+
+def tensor_file(*entries) -> bytes:
+    """A TXW1 file from (name bytes, dims, payload bytes) entries."""
+    blob = serialize.MAGIC + struct.pack("<II", serialize.VERSION, len(entries))
+    for name, dims, payload in entries:
+        blob += struct.pack("<H", len(name)) + name
+        blob += struct.pack(f"<B{len(dims)}I", len(dims), *dims) + payload
+    return blob
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # 2**31 * 2**31 * 4 wraps to 0 in int64
+        ([(b"big", (2**31, 2**31, 4), b"")], "truncated file: need 73786976294838206464 bytes"),
+        ([(b"\xff\xfe", (1,), b"\0" * 4)], "not UTF-8"),
+        ([(b"a", (1,), b"\0" * 4), (b"a", (1,), b"\0" * 4)], "'a' stored twice"),
+    ],
+    ids=["wrapped-size", "non-utf8-name", "repeated-name"],
+)
+def test_malformed_tensor_entries_raise_weight_format_error(tmp_path, entries, message):
+    path = tmp_path / "w.bin"
+    path.write_bytes(tensor_file(*entries))
+    with pytest.raises(WeightFormatError, match=message):
+        load_tensors(str(path))
+
+
+def test_header_ints_reads_integral_values():
+    header = np.array([2.0, -1.0, 3.0, 7.0], dtype=np.float32)
+    assert header_ints(header, "net", 3) == [2, -1, 3, 7]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        [2.0, float("inf"), 3.0],
+        [2.0, float("nan"), 3.0],
+        [2.0, 2.5, 3.0],
+        [2.0, 3.0],  # shorter than 3
+        [[2.0, 3.0, 4.0]],  # not 1-D
+    ],
+    ids=["inf", "nan", "fraction", "short", "2-d"],
+)
+def test_header_ints_rejects_other_headers(header):
+    with pytest.raises(WeightFormatError, match="malformed 'net' config header"):
+        header_ints(np.array(header, dtype=np.float32), "net", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from texsyn.trainer import (
     Schedule,
     TrainConfig,
     TrainingError,
-    blend_targets,
     pixel_optimize,
     precompute_targets,
     schedule_texture,
@@ -181,21 +180,6 @@ def test_precompute_targets_size_check():
         precompute_targets(EXT, [np.zeros((16, 16, 3), dtype=np.float32)])
 
 
-def test_blend_targets_endpoint_and_validation():
-    taps = ("conv1_1", "conv2_1")
-    t1, t2 = precompute_targets(EXT, [exemplar(1), exemplar(2)], taps=taps)
-    blend = blend_targets(t1, t2, 1.0)
-    for tap in taps:
-        np.testing.assert_allclose(blend.grams[tap], t1.grams[tap], atol=1e-6)
-    half = blend_targets(t1, t2, 0.5)
-    for tap in taps:
-        np.testing.assert_allclose(
-            half.grams[tap], 0.5 * t1.grams[tap] + 0.5 * t2.grams[tap], atol=1e-6
-        )
-    with pytest.raises(ValueError):
-        blend_targets(t1, t2, 1.5)
-
-
 def test_pixel_optimize_exemplar_is_fixed_point():
     taps = ("conv1_1", "conv2_1")
     img = exemplar(5)
@@ -285,12 +269,10 @@ def test_train_step_beta_zero_batch_one_runs():
     params = init_params(SMALL, seed=1)
     targets = precompute_targets(EXT, small_exemplars(), taps=taps)
     opt = Adam(params.parameters(), lr=cfg.lr)
-    _, record = train_step(
+    lt, ld, tot = train_step(
         params, EXT, targets, 2, cfg, opt,
         np.random.default_rng(0), np.random.default_rng(1),
     )
-    texture_id, lt, ld, tot = record
-    assert texture_id == 2
     assert ld == 0.0
     assert tot == pytest.approx(lt)
 

@@ -10,7 +10,6 @@ from texsyn.generator import SelectionUnit
 from texsyn.serialize import LossLog, WeightFormatError
 from texsyn.transfer import (
     LOG_COLUMNS,
-    NoiseMapSet,
     TransferConfig,
     TransferNetConfig,
     content_loss,
@@ -80,15 +79,17 @@ def test_transfer_deterministic_in_seed(params):
 
 def test_noise_maps_zero_for_unselected():
     maps = sample_noise_maps(NET, (8, 8), np.array([0.0, 1.0]), np.random.default_rng(0))
-    assert not np.any(maps.maps[0])
-    assert np.any(maps.maps[1])
-
-
-def test_noise_map_constructor_enforces_zero_rule():
-    bad = np.ones((2, 4, 4), dtype=np.float32)
-    with pytest.raises(ValueError):
-        NoiseMapSet(weights=np.array([0.0, 1.0]), maps=bad)
-    NoiseMapSet(weights=np.array([1.0, 1.0]), maps=bad)  # both selected is fine
+    assert maps.shape == (2, 8, 8) and maps.dtype == np.float32
+    assert not np.any(maps[0])
+    assert np.any(maps[1])
+    # several channels per style: each style's block is zero exactly when its weight is
+    net = TransferNetConfig(styles=4, noise_channels=2)
+    weights = np.array([0.0, 0.5, 0.0, 1.0])
+    maps = sample_noise_maps(net, (4, 4), weights, np.random.default_rng(3))
+    assert maps.shape == (8, 4, 4)
+    for i, w in enumerate(weights):
+        block = maps[2 * i : 2 * i + 2]
+        assert np.all(block != 0) if w else not np.any(block)
 
 
 def test_unselected_styles_consume_no_randomness():
@@ -97,7 +98,7 @@ def test_unselected_styles_consume_no_randomness():
         TransferNetConfig(styles=2), (4, 4), np.array([1.0, 1.0]), np.random.default_rng(5)
     )
     # style 2's draw in `a` equals style 1's draw in `b`: same first draw
-    np.testing.assert_array_equal(a.maps[1], b.maps[0])
+    np.testing.assert_array_equal(a[1], b[0])
 
 
 def test_interpolate_single_pair_matches_one_hot_bit_exact(params):
