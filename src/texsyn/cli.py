@@ -131,18 +131,28 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_images(run: cfg.RunConfig, params, jobs: list) -> list:
+    """Generate and save one image per (file name, selection, noise) job; returns the paths."""
+    written = []
+    for name, selection, noise in jobs:
+        path = _out_path(run, name)
+        save_image(denormalize(generate(params, selection, noise)), path)
+        written.append(path)
+    return written
+
+
 def cmd_synth(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"need at least 1 sample, got {args.samples}")
     run = _run_config(args)
     params = load_model(run.get("paths.model"))
     selection = one_hot(params.config, args.texture)
     noise_rng = stream(args.seed, "noise")
-    written = []
-    for k in range(args.samples):
-        noise = sample_noise(params.config, noise_rng)
-        image = denormalize(generate(params, selection, noise))
-        path = _out_path(run, f"tex{args.texture}_s{args.seed}_{k}.png")
-        save_image(image, path)
-        written.append(path)
+    jobs = [
+        (f"tex{args.texture}_s{args.seed}_{k}.png", selection, sample_noise(params.config, noise_rng))
+        for k in range(args.samples)
+    ]
+    written = _write_images(run, params, jobs)
     print(f"wrote {len(written)} images: {', '.join(written)}")
     return 0
 
@@ -153,20 +163,20 @@ def cmd_interpolate(args) -> int:
     a, b, steps = args.from_id, args.to_id, args.steps
     if steps < 2:
         raise ValueError(f"need at least 2 steps to span two textures, got {steps}")
+    if a == b:
+        raise ValueError(f"--from and --to both name texture {a}")
     # One shared noise draw: the first vector of the synth stream, so the
     # endpoint images are bit-identical to `synth --texture {a,b}` sample 0.
     noise = sample_noise(params.config, stream(args.seed, "noise"))
-    written = []
+    jobs = []
     for i in range(steps):
         weight = 1.0 - i / (steps - 1)
         bits = [(a, weight), (b, 1.0 - weight)]
         selection = weighted_selection(
             params.config.textures, [(t, w) for t, w in bits if w > 0.0]
         )
-        image = denormalize(generate(params, selection, noise))
-        path = _out_path(run, f"interp{a}to{b}_s{args.seed}_{i}.png")
-        save_image(image, path)
-        written.append(path)
+        jobs.append((f"interp{a}to{b}_s{args.seed}_{i}.png", selection, noise))
+    written = _write_images(run, params, jobs)
     print(f"wrote {steps} images sweeping texture {a} to {b}: {written[0]} ...")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .extractor import DEFAULT_TAPS, ExtractorConfig
+from .extractor import ExtractorConfig
 from .generator import SynthesisConfig
 from .losses import DIVERSITY_TAP, TEXTURE_TAPS
 from .trainer import TrainConfig
@@ -103,7 +103,6 @@ REGISTRY: dict = {
     "extractor.convs_per_stage": Setting(
         _ints, (1, 1, 1, 2, 1), "conv layers in each extractor stage"
     ),
-    "extractor.taps": Setting(_strs, DEFAULT_TAPS, "feature maps the extractor exposes"),
     "extractor.seed": Setting(_int, 0, "seed for the frozen random extractor weights"),
     "extractor.weight_file": Setting(
         _opt_str, None, "load extractor weights from this file instead of seeding"
@@ -119,9 +118,6 @@ REGISTRY: dict = {
     "train.texture_taps": Setting(_strs, TEXTURE_TAPS, "taps entering the texture loss"),
     "train.diversity_tap": Setting(_str, DIVERSITY_TAP, "tap entering the diversity loss"),
     "train.mode": Setting(_str, "incremental", "schedule: 'incremental' or 'random'"),
-    "train.diversity_normalize": Setting(
-        _bool, True, "divide diversity distances by the tap's spatial size"
-    ),
     "train.use_selector": Setting(
         _bool, True, "feed selector guidance maps (false = ablation)"
     ),
@@ -141,7 +137,6 @@ REGISTRY: dict = {
         _str, DIVERSITY_TAP, "tap for diversity and content losses"
     ),
     "transfer.mode": Setting(_str, "incremental", "schedule: 'incremental' or 'random'"),
-    "transfer.diversity_normalize": Setting(_bool, True, "normalize diversity distances"),
     "transfer.enc_widths": Setting(_ints, (16, 32), "encoder widths, one per stride-2 stage"),
     "transfer.dec_widths": Setting(
         _ints, (32, 16, 16), "decoder widths: bottleneck conv then one per upsample"

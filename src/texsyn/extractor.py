@@ -15,21 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import autodiff as ad
 from . import rng as _rng
 from . import serialize
 from .autodiff import ShapeError, Tensor
-
-DEFAULT_TAPS = ("conv1_1", "conv2_1", "conv3_1", "conv4_1", "conv5_1", "conv4_2")
 
 
 @dataclass(frozen=True)
 class ExtractorConfig:
     stage_channels: tuple = (8, 16, 32, 64, 64)
     convs_per_stage: tuple = (1, 1, 1, 2, 1)
-    taps: tuple = DEFAULT_TAPS
     seed: int = 0
     weight_file: str | None = None
 
@@ -39,10 +34,6 @@ class ExtractorConfig:
                 f"{len(self.stage_channels)} stage widths but "
                 f"{len(self.convs_per_stage)} conv counts"
             )
-        if len(set(self.taps)) != len(self.taps):
-            raise ValueError("duplicate tap names")
-        for tap in self.taps:
-            self.locate_tap(tap)
 
     @property
     def stages(self) -> int:
@@ -108,29 +99,21 @@ def build_extractor(config: ExtractorConfig = ExtractorConfig()) -> Extractor:
     if config.weight_file is not None:
         _, weights = serialize.load_checked(config.weight_file, lambda _: (config, expected))
     else:
-        gen = _rng.stream(config.seed, "extractor-weights")
-        weights = {}
-        for name, shape in expected.items():
-            if name.endswith(".kernel"):
-                fan_in = shape[1] * shape[2] * shape[3]
-                std = np.sqrt(2.0 / fan_in)
-                weights[name] = (gen.standard_normal(shape) * std).astype(np.float32)
-            else:
-                weights[name] = np.zeros(shape, dtype=np.float32)
+        params = serialize.ParamSet.init(config, expected, _rng.stream(config.seed, "extractor-weights"))
+        weights = {name: t.data for name, t in params.tensors.items()}
     return Extractor(config=config, weights=weights)
 
 
-def extract(extractor: Extractor, image: Tensor, taps=None) -> dict:
+def extract(extractor: Extractor, image: Tensor, taps) -> dict:
     """Run the extractor and return {tap name: feature Tensor}.
 
     ``image`` is [3,H,W] for one image (taps come back [C,H,W]) or
     [N,3,H,W] for a batch (taps come back [N,C,H,W]).  Differentiable with
     respect to the image; the weights never receive gradients.  Stages past
-    the deepest requested tap are skipped.
+    the deepest requested tap are skipped.  A tap named twice or naming no
+    layer raises ValueError.
     """
     config = extractor.config
-    if taps is None:
-        taps = config.taps
     wanted = {}
     for tap in taps:
         if tap in wanted:

@@ -105,24 +105,9 @@ def _param_shapes(config: SynthesisConfig) -> dict:
 
 
 def init_params(config: SynthesisConfig, seed: int) -> ParamSet:
-    """Fan-in scaled Gaussian kernels, zero biases, sigma 0.1 embedding."""
-    gen = _rng.stream(seed, "generator-init")
-    arrays = {}
-    for name, shape in _param_shapes(config).items():
-        if name == "embedding":
-            data = gen.standard_normal(shape) * 0.1
-        elif name.endswith("bias"):
-            data = np.zeros(shape)
-        elif name == "selector.proj":
-            data = gen.standard_normal(shape) * np.sqrt(1.0 / shape[0])
-        else:
-            fan_in = int(np.prod(shape[1:])) if name == "seed.kernel" else int(
-                np.prod((shape[1],) + shape[2:])
-            )
-            gain = 1.0 if name == "rgb.kernel" else 2.0
-            data = gen.standard_normal(shape) * np.sqrt(gain / fan_in)
-        arrays[name] = data.astype(np.float32)
-    return ParamSet.of(config, arrays)
+    """``ParamSet.init`` kernels and biases, sigma 0.1 embedding."""
+    stds = {"embedding": 0.1, "selector.proj": np.sqrt(1.0 / config.embed_dim)}
+    return ParamSet.init(config, _param_shapes(config), _rng.stream(seed, "generator-init"), stds)
 
 
 def embed(params: ParamSet, selection: SelectionUnit) -> Tensor:

@@ -2,10 +2,10 @@
 
 Each differentiable primitive is checked on repeated random inputs in
 64-bit mode against central differences (tolerance 1e-4), and the whole
-pipeline (generator through extractor through texture and diversity
-losses) is checked end to end at 1e-3.  Kinked functions (relu family,
-absolute values) get inputs nudged away from their kinks, where finite
-differences are meaningless.
+pipeline (generator through extractor through ``trainer.batch_losses``,
+the objective both trainers minimize) is checked end to end at 1e-3.
+Kinked functions (relu family, absolute values) get inputs nudged away
+from their kinks, where finite differences are meaningless.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import trainer
 from .autodiff import CHECK_DTYPE, Tensor
-from .extractor import ExtractorConfig, build_extractor, extract
+from .extractor import ExtractorConfig, build_extractor
 from .generator import SynthesisConfig, generate, init_params, one_hot
-from .losses import diversity_loss, texture_loss, total_loss, TextureTarget, centered_gram
+from .losses import TextureTarget, centered_gram, total_loss
 
 PRIMITIVE_TOL = 1e-4
 COMPOSITE_TOL = 1e-3
@@ -144,13 +145,10 @@ def _composite_setup(seed: int):
         widths=(4, 4),
         guidance_channels=2,
     )
-    ext_cfg = ExtractorConfig(
-        stage_channels=(4, 6),
-        convs_per_stage=(1, 1),
-        taps=("conv1_1", "conv2_1"),
-        seed=seed + 1,
+    extractor = build_extractor(
+        ExtractorConfig(stage_channels=(4, 6), convs_per_stage=(1, 1), seed=seed + 1)
     )
-    extractor = build_extractor(ext_cfg)
+    loop = trainer.LoopConfig(seed=seed, batch_size=2, diversity_tap="conv2_1")
     params = init_params(synth, seed)
     rng = np.random.default_rng(seed + 2)
     noises = [rng.uniform(-1, 1, synth.noise_dim) for _ in range(2)]
@@ -167,17 +165,15 @@ def _composite_setup(seed: int):
 
     def build(*tensors):
         p = type(params)(config=synth, tensors=dict(zip(names, tensors)))
-        tex_sum = None
-        feats_deep = []
-        for noise in noises:
-            img = generate(p, one_hot(synth, 1), Tensor(np.asarray(noise), dtype=tensors[0].dtype))
-            feats = extract(extractor, img, ("conv1_1", "conv2_1"))
-            term = texture_loss(target, feats)
-            tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
-            feats_deep.append(feats["conv2_1"])
-        l_tex = ad.scale(tex_sum, 0.5)
-        l_div = diversity_loss(feats_deep, np.random.default_rng(sigma_rng_seed))
-        return total_loss(l_tex, l_div)
+        draws = iter(noises)
+
+        def render():
+            return generate(p, one_hot(synth, 1), Tensor(next(draws), dtype=tensors[0].dtype))
+
+        l_tex, l_div, _ = trainer.batch_losses(
+            loop, extractor, target, render, ("conv1_1",), np.random.default_rng(sigma_rng_seed)
+        )
+        return total_loss(l_tex, l_div, loop.alpha, loop.beta)
 
     return build, arrays
 

@@ -78,15 +78,12 @@ def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
-def diversity_loss(
-    batch_feats: list, rng: np.random.Generator, normalize: bool = True
-) -> Tensor:
+def diversity_loss(batch_feats: list, rng: np.random.Generator) -> Tensor:
     """Mean L1 distance between each sample's features and a deranged partner.
 
-    With ``normalize`` (the default) each distance is divided by the spatial
-    size of the tap map, the same divisor the Gram statistics use, so the
-    term keeps its weight relative to the texture losses across image sizes.
-    ``normalize=False`` gives the raw per-pair L1 sum.
+    Each distance is divided by the spatial size of the tap map, the same
+    divisor the Gram statistics use, so the term keeps its weight relative
+    to the texture losses across image sizes.
     """
     n = len(batch_feats)
     if n < 2:
@@ -102,8 +99,7 @@ def diversity_loss(
     for i in range(n):
         term = ad.l1_norm(ad.sub(batch_feats[i], batch_feats[sigma[i]]))
         total = term if total is None else ad.add(total, term)
-    divisor = n * (int(np.prod(shape[1:])) if normalize else 1)
-    return ad.scale(total, 1.0 / divisor)
+    return ad.scale(total, 1.0 / (n * int(np.prod(shape[1:]))))
 
 
 def total_loss(texture: Tensor, diversity: Tensor, alpha: float = 1.0, beta: float = -1.0) -> Tensor:

@@ -69,6 +69,27 @@ class ParamSet:
     def of(cls, config, arrays: dict) -> "ParamSet":
         return cls(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
 
+    @classmethod
+    def init(
+        cls, config, shapes: dict, gen: np.random.Generator, stds: dict | None = None
+    ) -> "ParamSet":
+        """Fresh tensors of ``shapes``, drawn from ``gen`` in ``shapes`` order.
+
+        Biases are zero.  Other tensors are Gaussian with std
+        sqrt(gain / fan_in), gain 1 for ``rgb.kernel`` and 2 elsewhere,
+        unless ``stds`` names the tensor's std.
+        """
+        arrays = {}
+        for name, shape in shapes.items():
+            if name.endswith("bias"):
+                data = np.zeros(shape)
+            else:
+                gain = 1.0 if name == "rgb.kernel" else 2.0
+                std = stds[name] if stds and name in stds else np.sqrt(gain / math.prod(shape[1:]))
+                data = gen.standard_normal(shape) * std
+            arrays[name] = data.astype(np.float32)
+        return cls.of(config, arrays)
+
     def parameters(self) -> list:
         return list(self.tensors.values())
 

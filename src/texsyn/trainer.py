@@ -8,7 +8,8 @@ are in, sampling switches to uniform random.  The trainer minimizes
     alpha * texture loss + beta * diversity loss
 
 with one texture id per iteration shared by the whole batch.  ``fit`` is
-the loop itself; the transfer trainer runs the same one.
+the loop itself and ``batch_losses`` the two loss terms; the transfer
+trainer and the composite gradient check run the same ones.
 
 pixel_optimize performs the same texture-loss minimization directly on
 image pixels, with no generator involved.  It is the slow reference the
@@ -89,7 +90,6 @@ class LoopConfig:
     beta: float = -1.0  # diversity coefficient
     diversity_tap: str = DIVERSITY_TAP
     mode: str = "incremental"
-    diversity_normalize: bool = True
 
     def __post_init__(self):
         if self.beta != 0.0 and self.batch_size < 2:
@@ -175,11 +175,36 @@ def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS,
     return targets
 
 
-def diversity_term(config: LoopConfig, feats: list, rng: np.random.Generator, dtype) -> Tensor:
-    """The batch's diversity loss, or a zero scalar when beta is 0."""
+def batch_losses(
+    config: LoopConfig,
+    extractor: Extractor,
+    target: TextureTarget,
+    render,
+    taps,
+    rng: np.random.Generator,
+) -> tuple:
+    """The objective of one batch: ``config.batch_size`` calls of ``render()``.
+
+    Returns (mean texture loss against ``target``, diversity loss over
+    deranged pairs, the renders' ``config.diversity_tap`` maps).  When beta
+    is nonzero the diversity tap joins ``taps``; when it is 0 the diversity
+    loss is a zero scalar and the maps are there only if ``taps`` names it.
+    """
+    taps = tuple(taps)
+    if config.beta != 0.0 and config.diversity_tap not in taps:
+        taps = taps + (config.diversity_tap,)
+    tex_sum = None
+    maps = []
+    for _ in range(config.batch_size):
+        feats = extract(extractor, render(), taps)
+        term = texture_loss(target, feats)
+        tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
+        if config.diversity_tap in feats:
+            maps.append(feats[config.diversity_tap])
+    l_texture = ad.scale(tex_sum, 1.0 / config.batch_size)
     if config.beta == 0.0:
-        return Tensor(np.zeros((), dtype=dtype))
-    return diversity_loss(feats, rng, normalize=config.diversity_normalize)
+        return l_texture, Tensor(np.zeros((), dtype=l_texture.dtype)), maps
+    return l_texture, diversity_loss(maps, rng), maps
 
 
 def train_step(
@@ -194,24 +219,14 @@ def train_step(
 ) -> tuple:
     """One optimization step; mutates params, returns (texture, diversity, total) losses."""
     selection = one_hot(params.config, texture_id)
-    taps = tuple(config.texture_taps)
-    if config.beta != 0.0 and config.diversity_tap not in taps:
-        taps = taps + (config.diversity_tap,)
-    n = config.batch_size
-    target = targets[texture_id - 1]
 
-    tex_sum = None
-    div_feats = []
-    for _ in range(n):
+    def render():
         noise = sample_noise(params.config, noise_rng)
-        image = generate(params, selection, noise, use_selector=config.use_selector)
-        feats = extract(extractor, image, taps)
-        term = texture_loss(target, feats)
-        tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
-        if config.beta != 0.0:
-            div_feats.append(feats[config.diversity_tap])
-    l_texture = ad.scale(tex_sum, 1.0 / n)
-    l_diversity = diversity_term(config, div_feats, derangement_rng, l_texture.dtype)
+        return generate(params, selection, noise, use_selector=config.use_selector)
+
+    l_texture, l_diversity, _ = batch_losses(
+        config, extractor, targets[texture_id - 1], render, config.texture_taps, derangement_rng
+    )
     loss = total_loss(l_texture, l_diversity, config.alpha, config.beta)
 
     params.zero_grad()

@@ -9,10 +9,11 @@ the encoder with nearest-neighbor upsampling, so output size always
 equals content size.
 
 Training reuses the texture machinery: the same loop and schedule
-(``trainer.fit``), style loss is the centered-Gram texture loss of the
-output against the style exemplar, diversity is the same deranged
-feature distance, and a content term (L1 of deep features against the
-content image) anchors structure.  The loss log adds an ``l_content``
+(``trainer.fit``) and the same batch objective (``trainer.batch_losses``):
+style loss is the centered-Gram texture loss of the output against the
+style exemplar, diversity is the same deranged feature distance.  A
+content term (L1 of deep features against the content image) anchors
+structure.  The loss log adds an ``l_content``
 column to the texture trainer's columns.
 """
 
@@ -28,10 +29,10 @@ from . import serialize
 from .autodiff import ShapeError, Tensor
 from .extractor import Extractor, ExtractorConfig, build_extractor, extract
 from .generator import SelectionUnit, weighted_selection
-from .losses import DIVERSITY_TAP, TEXTURE_TAPS, texture_loss, total_loss
+from .losses import DIVERSITY_TAP, TEXTURE_TAPS, total_loss
 from .optim import Adam
 from .serialize import LOSS_COLUMNS, LossLog, ParamSet
-from .trainer import LoopConfig, diversity_term, fit, precompute_targets, schedule_texture
+from .trainer import LoopConfig, batch_losses, fit, precompute_targets, schedule_texture
 
 LOG_COLUMNS = LOSS_COLUMNS + ("l_content",)
 
@@ -77,17 +78,7 @@ def _param_shapes(config: TransferNetConfig) -> dict:
 
 
 def init_transfer_params(config: TransferNetConfig, seed: int) -> ParamSet:
-    gen = _rng.stream(seed, "transfer-init")
-    arrays = {}
-    for name, shape in _param_shapes(config).items():
-        if name.endswith("bias"):
-            data = np.zeros(shape)
-        else:
-            fan_in = int(np.prod(shape[1:]))
-            gain = 1.0 if name == "rgb.kernel" else 2.0
-            data = gen.standard_normal(shape) * np.sqrt(gain / fan_in)
-        arrays[name] = data.astype(np.float32)
-    return ParamSet.of(config, arrays)
+    return ParamSet.init(config, _param_shapes(config), _rng.stream(seed, "transfer-init"))
 
 
 def sample_noise_maps(
@@ -210,7 +201,7 @@ def train_transfer(
     derangement_rng = _rng.stream(config.seed, "derangement")
     content_rng = _rng.stream(config.seed, "transfer-content")
 
-    n, deep = config.batch_size, config.diversity_tap
+    deep = config.diversity_tap
     taps = tuple(config.style_taps)
     if deep not in taps:
         taps = taps + (deep,)
@@ -219,21 +210,15 @@ def train_transfer(
         content = Tensor(content_arrays[int(content_rng.integers(len(content_arrays)))])
         selection = weighted_selection(m, [(style_id, 1.0)], "style")
         content_feat = extract(extractor, content, [deep])[deep].detach()
-        style_sum = None
+        l_style, l_diversity, maps = batch_losses(
+            config, extractor, targets[style_id - 1],
+            lambda: transfer(params, content, selection, noise_rng), taps, derangement_rng,
+        )
         content_sum = None
-        div_feats = []
-        for _ in range(n):
-            out = transfer(params, content, selection, noise_rng)
-            feats = extract(extractor, out, taps)
-            term = texture_loss(targets[style_id - 1], feats)
-            style_sum = term if style_sum is None else ad.add(style_sum, term)
-            c_term = content_distance(feats[deep], content_feat)
+        for out_feat in maps:
+            c_term = content_distance(out_feat, content_feat)
             content_sum = c_term if content_sum is None else ad.add(content_sum, c_term)
-            if config.beta != 0.0:
-                div_feats.append(feats[deep])
-        l_style = ad.scale(style_sum, 1.0 / n)
-        l_content = ad.scale(content_sum, 1.0 / n)
-        l_diversity = diversity_term(config, div_feats, derangement_rng, l_style.dtype)
+        l_content = ad.scale(content_sum, 1.0 / config.batch_size)
         loss = ad.add(
             total_loss(l_style, l_diversity, config.alpha, config.beta),
             ad.scale(l_content, config.content_weight),

@@ -264,7 +264,6 @@ def cli_workspace(tmp_path_factory):
         "synthesis.scales = 2\nsynthesis.widths = 12, 12, 8\n"
         "synthesis.guidance_channels = 4\n"
         "extractor.stage_channels = 4, 8, 8\nextractor.convs_per_stage = 1, 1, 1\n"
-        "extractor.taps = conv1_1, conv2_1, conv3_1\n"
         "train.texture_taps = conv1_1, conv2_1\ntrain.diversity_tap = conv3_1\n"
         "train.K = 4\ntrain.iterations = 24\ntrain.batch_size = 2\n"
         f"paths.exemplars = {', '.join(paths)}\n"
@@ -362,7 +361,6 @@ def test_criterion_12_bitwise_determinism(tmp_path):
         "synthesis.scales = 2\nsynthesis.widths = 12, 12, 8\n"
         "synthesis.guidance_channels = 4\n"
         "extractor.stage_channels = 4, 8, 8\nextractor.convs_per_stage = 1, 1, 1\n"
-        "extractor.taps = conv1_1, conv2_1, conv3_1\n"
         "train.texture_taps = conv1_1, conv2_1\ntrain.diversity_tap = conv3_1\n"
         "train.K = 4\ntrain.iterations = 24\ntrain.batch_size = 2\n"
         f"paths.exemplars = {', '.join(paths)}\n"

@@ -21,7 +21,6 @@ synthesis.widths = 12, 12, 8
 synthesis.guidance_channels = 4
 extractor.stage_channels = 4, 8, 8
 extractor.convs_per_stage = 1, 1, 1
-extractor.taps = conv1_1, conv2_1, conv3_1
 train.texture_taps = conv1_1, conv2_1
 train.diversity_tap = conv3_1
 train.K = 2
@@ -204,6 +203,25 @@ def test_exit_codes_for_user_errors(workspace, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--texture", "1", "--samples", "0"],
+        ["synth", "--texture", "1", "--samples", "-2"],
+        ["interpolate", "--from", "1", "--to", "1", "--steps", "3"],
+        ["interpolate", "--from", "2", "--to", "2", "--steps", "2"],
+        ["interpolate", "--from", "1", "--to", "9", "--steps", "3"],
+    ],
+)
+def test_bad_image_request_is_a_user_error_writing_nothing(workspace, capsys, argv):
+    tmp, cfg = workspace
+    assert run("train", "--seed", "1", "--config", cfg) == 0
+    before = sorted(os.listdir(tmp))
+    assert run(argv[0], "--seed", "1", "--config", cfg, *argv[1:]) == 1
+    assert sorted(os.listdir(tmp)) == before
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_for_missing_seed(workspace, capsys):
     _, cfg = workspace
     assert run("synth", "--config", cfg, "--texture", "1") == 1
@@ -219,6 +237,26 @@ def test_no_partial_outputs_on_failure(workspace):
     ) == 1
     assert not (tmp / "synthesis.model").exists()
     assert not (tmp / "loss.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, extra",
+    [
+        ("train.texture_taps=conv1_1,conv1_1", []),
+        ("train.texture_taps=conv4_1", []),  # the workspace extractor has 3 stages
+        ("transfer.style_taps=conv1_2", ["--transfer", "--resize", "16"]),
+    ],
+)
+def test_bad_loss_tap_fails_before_training(workspace, monkeypatch, capsys, setting, extra):
+    import texsyn.trainer as trainer
+    import texsyn.transfer as tf
+
+    tmp, cfg = workspace
+    for module in (trainer, tf):
+        monkeypatch.setattr(module, "fit", lambda *a, **k: pytest.fail("training started"))
+    assert run("train", "--seed", "1", "--config", cfg, "--set", setting, *extra) == 1
+    assert "tap" in capsys.readouterr().err
+    assert not (tmp / "synthesis.model").exists() and not (tmp / "loss.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Config parsing: typed values, typo safety, override precedence."""
 
+import dataclasses
+
 import pytest
 
 from texsyn.config import (
@@ -16,6 +18,10 @@ from texsyn.config import (
     transfer_config,
     transfer_net_config,
 )
+from texsyn.extractor import ExtractorConfig
+from texsyn.generator import SynthesisConfig
+from texsyn.trainer import TrainConfig
+from texsyn.transfer import TransferConfig, TransferNetConfig
 
 
 def test_defaults_cover_every_key():
@@ -118,7 +124,6 @@ def test_builders_produce_configured_objects():
         synthesis.guidance_channels = 4
         extractor.stage_channels = 4, 8
         extractor.convs_per_stage = 1, 1
-        extractor.taps = conv1_1, conv2_1
         train.K = 5
         train.beta = 0
         train.batch_size = 1
@@ -130,7 +135,7 @@ def test_builders_produce_configured_objects():
     synth = synthesis_config(config, textures=2)
     assert synth.textures == 2 and synth.widths == (12, 12, 8)
     ext = extractor_config(config)
-    assert ext.stage_channels == (4, 8) and ext.taps == ("conv1_1", "conv2_1")
+    assert ext.stage_channels == (4, 8)
     tc = train_config(config, seed=3)
     assert tc.seed == 3 and tc.K == 5 and tc.beta == 0.0
     xc = transfer_config(config, seed=4)
@@ -139,9 +144,41 @@ def test_builders_produce_configured_objects():
     assert nc.styles == 2 and nc.enc_widths == (8,) and nc.dec_widths == (8, 8)
 
 
-@pytest.mark.parametrize("key", ["run.seed", "synthesis.textures"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "run.seed",
+        "synthesis.textures",
+        "extractor.taps",
+        "train.diversity_normalize",
+        "transfer.diversity_normalize",
+    ],
+)
 def test_keys_nothing_reads_are_unknown(key):
-    # --seed sets the seed; the texture count comes from the exemplars
-    # or the model file
+    # --seed sets the seed; the texture count comes from the exemplars or
+    # the model file; each loss names the taps it extracts; diversity
+    # distances are always divided by the tap's spatial size
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(f"{key} = 2\n")
+
+
+def test_registry_defaults_match_config_dataclasses():
+    # a config object built without a run config gets the same values as
+    # one built from the defaults, so the two copies of each default agree
+    sections = {
+        "synthesis": [SynthesisConfig],
+        "extractor": [ExtractorConfig],
+        "train": [TrainConfig],
+        "transfer": [TransferConfig, TransferNetConfig],
+    }
+    backed = 0
+    for section, classes in sections.items():
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                key = f"{section}.{f.name}"
+                if key in REGISTRY:
+                    assert f.default is not dataclasses.MISSING, key
+                    assert REGISTRY[key].default == f.default, key
+                    backed += 1
+    keys = [k for k in REGISTRY if not k.startswith("paths.")]
+    assert backed == len(keys)

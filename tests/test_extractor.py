@@ -5,7 +5,10 @@ import pytest
 
 from texsyn import serialize
 from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
-from texsyn.extractor import DEFAULT_TAPS, ExtractorConfig, build_extractor, extract
+from texsyn.extractor import ExtractorConfig, build_extractor, extract
+from texsyn.losses import DIVERSITY_TAP, TEXTURE_TAPS
+
+ALL_TAPS = TEXTURE_TAPS + (DIVERSITY_TAP,)
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +36,8 @@ def test_different_seed_different_weights():
 
 
 def test_tap_spatial_sizes(ext):
-    feats = extract(ext, Tensor(rand_image()), DEFAULT_TAPS)
-    sizes = {name: feats[name].shape for name in DEFAULT_TAPS}
+    feats = extract(ext, Tensor(rand_image()), ALL_TAPS)
+    sizes = {name: feats[name].shape for name in ALL_TAPS}
     assert sizes["conv1_1"] == (8, 32, 32)
     assert sizes["conv2_1"] == (16, 16, 16)
     assert sizes["conv3_1"] == (32, 8, 8)
@@ -52,7 +55,7 @@ def test_batch_extraction_matches_single(ext):
 
 
 def test_zero_image_zero_taps(ext):
-    feats = extract(ext, Tensor(np.zeros((3, 32, 32), dtype=np.float32)))
+    feats = extract(ext, Tensor(np.zeros((3, 32, 32), dtype=np.float32)), ALL_TAPS)
     for name, t in feats.items():
         np.testing.assert_array_equal(t.data, np.zeros_like(t.data))
 
@@ -78,7 +81,7 @@ def test_indivisible_size_rejected(ext):
 
 def test_wrong_channel_count_rejected(ext):
     with pytest.raises(ShapeError):
-        extract(ext, Tensor(np.zeros((4, 32, 32), dtype=np.float32)))
+        extract(ext, Tensor(np.zeros((4, 32, 32), dtype=np.float32)), ["conv1_1"])
 
 
 def test_weights_frozen_through_backward(ext):
@@ -92,8 +95,7 @@ def test_weights_frozen_through_backward(ext):
 
 def test_gradient_wrt_image_matches_finite_differences(ext):
     # small input keeps the finite-difference sweep cheap
-    cfg = ExtractorConfig(stage_channels=(4, 6, 8), convs_per_stage=(1, 1, 1),
-                          taps=("conv3_1",), seed=3)
+    cfg = ExtractorConfig(stage_channels=(4, 6, 8), convs_per_stage=(1, 1, 1), seed=3)
     small = build_extractor(cfg)
     img = np.random.default_rng(4).uniform(-1, 1, size=(3, 8, 8))
     t = Tensor(img, requires_grad=True, dtype=CHECK_DTYPE)
@@ -149,10 +151,11 @@ def test_malformed_weight_file_names_expected_shape(ext, tmp_path):
         build_extractor(ExtractorConfig(weight_file=path))
 
 
-def test_bad_config_rejected():
+def test_bad_config_rejected(ext):
     with pytest.raises(ValueError):
         ExtractorConfig(stage_channels=(8, 16), convs_per_stage=(1,))
-    with pytest.raises(ValueError):
-        ExtractorConfig(taps=("conv1_1", "conv1_1"))
-    with pytest.raises(ValueError):
-        ExtractorConfig(taps=("conv1_2",))  # stage 1 has a single conv
+    image = Tensor(rand_image())
+    with pytest.raises(ValueError, match="duplicate tap"):
+        extract(ext, image, ("conv1_1", "conv1_1"))
+    with pytest.raises(ValueError, match="does not resolve"):
+        extract(ext, image, ("conv1_2",))  # stage 1 has a single conv

@@ -79,6 +79,21 @@ def test_composite_passes():
     assert r.passed, f"composite: max rel err {r.max_rel_err}"
 
 
+def test_composite_checks_the_trainers_objective(monkeypatch):
+    # the composite loss is trainer.batch_losses, so a fault there fails it
+    from texsyn import trainer
+
+    real = trainer.batch_losses
+
+    def wrong(*args):
+        # the value still holds the diversity term, the gradient does not
+        l_texture, l_diversity, maps = real(*args)
+        return l_texture, l_diversity.detach(), maps
+
+    monkeypatch.setattr(trainer, "batch_losses", wrong)
+    assert not check_composite(trials=1, seed=0).passed
+
+
 def test_run_all_ends_with_composite():
     results = run_all(trials=1, seed=3)
     assert len(results) == len(check_primitives(trials=1, seed=3)) + 1

@@ -244,10 +244,11 @@ def test_diversity_zero_on_identical_batch():
 
 
 def test_diversity_n2_closed_form():
+    # each distance is divided by the tap's spatial size (3x3 here)
     a = RNG.standard_normal((2, 3, 3))
     b = RNG.standard_normal((2, 3, 3))
-    loss = diversity_loss(feats(a, b), np.random.default_rng(0), normalize=False)
-    want = np.abs(a - b).sum()  # both pair orderings contribute the same L1
+    loss = diversity_loss(feats(a, b), np.random.default_rng(0))
+    want = np.abs(a - b).sum() / 9  # both pair orderings contribute the same L1
     np.testing.assert_allclose(float(loss.data), want, rtol=1e-12)
 
 
@@ -255,18 +256,9 @@ def test_diversity_n3_matches_known_sigma():
     arrays = [RNG.standard_normal((2, 2, 2)) for _ in range(3)]
     seed = 12345
     sigma = derangement(3, np.random.default_rng(seed))
-    want = sum(np.abs(arrays[i] - arrays[sigma[i]]).sum() for i in range(3)) / 3
-    loss = diversity_loss(feats(*arrays), np.random.default_rng(seed), normalize=False)
+    want = sum(np.abs(arrays[i] - arrays[sigma[i]]).sum() for i in range(3)) / (3 * 4)
+    loss = diversity_loss(feats(*arrays), np.random.default_rng(seed))
     np.testing.assert_allclose(float(loss.data), want, rtol=1e-12)
-
-
-def test_diversity_normalization_divides_by_spatial_size():
-    a = RNG.standard_normal((2, 3, 3))
-    b = RNG.standard_normal((2, 3, 3))
-    raw = float(diversity_loss(feats(a, b), np.random.default_rng(0), normalize=False).data)
-    scaled = float(diversity_loss(feats(a, b), np.random.default_rng(0)).data)
-    spatial = a.shape[1] * a.shape[2]
-    np.testing.assert_allclose(scaled, raw / spatial, rtol=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))

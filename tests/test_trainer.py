@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from texsyn import autodiff as ad
 from texsyn import rng as _rng
 from texsyn.autodiff import Tensor
 from texsyn.extractor import ExtractorConfig, build_extractor, extract
-from texsyn.generator import SynthesisConfig, generate, init_params, one_hot
-from texsyn.losses import texture_loss
+from texsyn.generator import SynthesisConfig, generate, init_params, one_hot, sample_noise
+from texsyn.losses import diversity_loss, texture_loss, total_loss
 from texsyn.optim import Adam
 from texsyn.trainer import (
     LossLog,
     Schedule,
     TrainConfig,
     TrainingError,
+    batch_losses,
     pixel_optimize,
     precompute_targets,
     schedule_texture,
@@ -314,6 +316,61 @@ def test_train_writes_checkpoints(tmp_path):
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["checkpoint_2.model", "checkpoint_4.model"]
     load_model(str(tmp_path / "checkpoint_4.model"))
+
+
+def reference_step(params, target, cfg, noise_rng, derangement_rng) -> tuple:
+    """The per-sample loop of train_step before batch_losses; returns its loss Tensors."""
+    selection = one_hot(params.config, target.texture_id)
+    taps = tuple(cfg.texture_taps)
+    if cfg.beta != 0.0 and cfg.diversity_tap not in taps:
+        taps = taps + (cfg.diversity_tap,)
+    tex_sum, div_feats = None, []
+    for _ in range(cfg.batch_size):
+        noise = sample_noise(params.config, noise_rng)
+        feats = extract(EXT, generate(params, selection, noise, use_selector=cfg.use_selector), taps)
+        term = texture_loss(target, feats)
+        tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
+        if cfg.beta != 0.0:
+            div_feats.append(feats[cfg.diversity_tap])
+    l_texture = ad.scale(tex_sum, 1.0 / cfg.batch_size)
+    if cfg.beta == 0.0:
+        l_diversity = Tensor(np.zeros((), dtype=l_texture.dtype))
+    else:
+        l_diversity = diversity_loss(div_feats, derangement_rng)
+    return l_texture, l_diversity, total_loss(l_texture, l_diversity, cfg.alpha, cfg.beta)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0])
+def test_batch_losses_equal_the_per_sample_loop(beta):
+    taps = ("conv1_1", "conv2_1")
+    cfg = small_train_config(beta=beta, batch_size=4, texture_taps=taps, diversity_tap="conv3_1")
+    targets = precompute_targets(EXT, small_exemplars(), taps=taps)
+    runs = []
+    for way in ("reference", "batch_losses", "train_step"):
+        params = init_params(SMALL, seed=1)
+        # this stream's derangement, a 4-cycle, is not fixed by relabeling
+        # the batch, so the order of the diversity maps shows
+        noise_rng, derangement_rng = np.random.default_rng(0), np.random.default_rng(2)
+        if way == "reference":
+            losses = reference_step(params, targets[1], cfg, noise_rng, derangement_rng)
+            losses[2].backward()
+        elif way == "batch_losses":
+            def render():
+                return generate(params, one_hot(SMALL, 2), sample_noise(SMALL, noise_rng))
+
+            l_tex, l_div, maps = batch_losses(cfg, EXT, targets[1], render, taps, derangement_rng)
+            assert len(maps) == (4 if beta else 0)
+            losses = (l_tex, l_div, total_loss(l_tex, l_div, cfg.alpha, cfg.beta))
+            losses[2].backward()
+        else:
+            opt = Adam(params.parameters(), lr=cfg.lr)
+            losses = train_step(params, EXT, targets, 2, cfg, opt, noise_rng, derangement_rng)
+        values = [float(v.data) if isinstance(v, Tensor) else v for v in losses]
+        grads = {name: t.grad.tobytes() for name, t in params.tensors.items()}
+        runs.append((values, grads))
+        assert all(t.grad.dtype == np.float32 for t in params.tensors.values())
+    assert runs[0] == runs[1] == runs[2]
+    assert (runs[0][0][1] == 0.0) == (beta == 0.0)
 
 
 def test_train_rejects_mismatched_config():

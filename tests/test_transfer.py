@@ -161,7 +161,7 @@ def test_content_loss_size_mismatch():
 
 def test_content_loss_gradient_vs_finite_differences():
     small_ext = build_extractor(
-        ExtractorConfig(stage_channels=(4, 6), convs_per_stage=(1, 1), taps=("conv2_1",), seed=1)
+        ExtractorConfig(stage_channels=(4, 6), convs_per_stage=(1, 1), seed=1)
     )
     ref = np.random.default_rng(1).uniform(-1, 1, (3, 8, 8))
     img = np.random.default_rng(2).uniform(-1, 1, (3, 8, 8))
@@ -241,6 +241,70 @@ def test_train_transfer_reproducible():
     assert log1.rows == log2.rows
     for name in p1.tensors:
         np.testing.assert_array_equal(p1.tensors[name].data, p2.tensors[name].data)
+
+
+def reference_first_iteration(styles, contents, cfg, net) -> tuple:
+    """Iteration 0 (style 1) of the per-sample transfer step before
+    trainer.batch_losses; returns (its log values, the stepped params)."""
+    from texsyn import autodiff as ad
+    from texsyn.extractor import extract
+    from texsyn.generator import weighted_selection
+    from texsyn.losses import diversity_loss, texture_loss, total_loss
+    from texsyn.optim import Adam
+    from texsyn.trainer import precompute_targets
+    from texsyn.transfer import content_distance
+
+    targets = precompute_targets(EXT, styles, taps=cfg.style_taps)
+    params = init_transfer_params(net, cfg.seed)
+    optimizer = Adam(params.parameters(), lr=cfg.lr)
+    noise_rng = _rng.stream(cfg.seed, "transfer-noise")
+    derangement_rng = _rng.stream(cfg.seed, "derangement")
+    content_rng = _rng.stream(cfg.seed, "transfer-content")
+    n, deep = cfg.batch_size, cfg.diversity_tap
+    taps = tuple(cfg.style_taps) + (deep,)
+
+    content = Tensor(contents[int(content_rng.integers(len(contents)))])
+    selection = weighted_selection(net.styles, [(1, 1.0)], "style")
+    content_feat = extract(EXT, content, [deep])[deep].detach()
+    style_sum = content_sum = None
+    div_feats = []
+    for _ in range(n):
+        feats = extract(EXT, transfer(params, content, selection, noise_rng), taps)
+        term = texture_loss(targets[0], feats)
+        style_sum = term if style_sum is None else ad.add(style_sum, term)
+        c_term = content_distance(feats[deep], content_feat)
+        content_sum = c_term if content_sum is None else ad.add(content_sum, c_term)
+        if cfg.beta != 0.0:
+            div_feats.append(feats[deep])
+    l_style = ad.scale(style_sum, 1.0 / n)
+    l_content = ad.scale(content_sum, 1.0 / n)
+    if cfg.beta == 0.0:
+        l_diversity = Tensor(np.zeros((), dtype=l_style.dtype))
+    else:
+        l_diversity = diversity_loss(div_feats, derangement_rng)
+    loss = ad.add(
+        total_loss(l_style, l_diversity, cfg.alpha, cfg.beta),
+        ad.scale(l_content, cfg.content_weight),
+    )
+    params.zero_grad()
+    loss.backward()
+    optimizer.step()
+    values = (float(l_style.data), float(l_diversity.data), float(loss.data), float(l_content.data))
+    return values, params
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0])
+def test_train_transfer_step_equals_the_per_sample_loop(beta):
+    # seed 2's derangement shows the order of the diversity maps
+    cfg = TransferConfig(
+        seed=2, K=2, iterations=1, batch_size=4, beta=beta, style_taps=("conv1_1", "conv2_1")
+    )
+    styles, contents = tiny_images(2, 80), tiny_images(2, 90)
+    want, want_params = reference_first_iteration(styles, contents, cfg, NET)
+    params, log = train_transfer(styles, contents, cfg, net_config=NET, extractor=EXT)
+    assert log.rows == [(0, 1, *want)]
+    for name, t in params.tensors.items():
+        assert t.data.tobytes() == want_params.tensors[name].data.tobytes(), name
 
 
 def test_train_transfer_names_iteration_of_non_finite_loss():
