@@ -261,6 +261,20 @@ def test_diversity_n3_matches_known_sigma():
     np.testing.assert_allclose(float(loss.data), want, rtol=1e-12)
 
 
+def test_diversity_normalization_divides_by_spatial_size():
+    a = RNG.standard_normal((2, 3, 3))
+    b = RNG.standard_normal((2, 3, 3))
+    raw = np.abs(a - b).sum()  # per-sample mean of the un-normalized L1 over both orderings
+    scaled = float(diversity_loss(feats(a, b), np.random.default_rng(0)).data)
+    spatial = a.shape[1] * a.shape[2]
+    np.testing.assert_allclose(scaled, raw / spatial, rtol=1e-12)
+    # tiling the maps 2x2 quadruples the raw L1 and the spatial size alike
+    tiled = float(
+        diversity_loss(feats(np.tile(a, (1, 2, 2)), np.tile(b, (1, 2, 2))), np.random.default_rng(0)).data
+    )
+    np.testing.assert_allclose(tiled, scaled, rtol=1e-12)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
 @settings(max_examples=25, deadline=None)
 def test_diversity_nonnegative(seed, n):
