@@ -161,11 +161,12 @@ def _toposort(root: Tensor) -> list:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every reachable node requiring gradients.
+    """Populate ``grad`` of every reachable leaf requiring gradients.
 
     ``loss`` must be scalar (shape () or (1,)).  Adjoints are computed per
-    call and then added into each node's ``grad``, so repeated calls without
-    zeroing accumulate.
+    call and then added into each leaf's ``grad``, so repeated calls without
+    zeroing accumulate.  Operation results keep no gradient: each adjoint
+    is dropped once it has reached the result's parents.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -179,11 +180,8 @@ def backward(loss: Tensor) -> None:
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node._grad is None:
-            node._grad = g.copy()
-        else:
-            node._grad = node._grad + g
         if node._backward is None:
+            node._grad = g.copy() if node._grad is None else node._grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -298,16 +296,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), grad_fn, "reshape")
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose2d: expected rank 2, got shape {x.shape}")
-
-    def grad_fn(g):
-        return (g.T,)
-
-    return _result(x.data.T, (x,), grad_fn, "transpose2d")
-
-
 def mean(x: Tensor) -> Tensor:
     inv = x.dtype.type(1.0 / x.size)
     shape = x.shape
@@ -343,6 +331,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _result(a.data @ b.data, (a, b), grad_fn, "matmul")
+
+
+def repeat_batch(x: Tensor, n: int) -> Tensor:
+    """Repeat a batch of one [1,...] n times along axis 0; backward sums the copies."""
+    if x.data.ndim < 1 or x.shape[0] != 1:
+        raise ShapeError(f"repeat_batch: expected a leading axis of 1, got shape {x.shape}")
+    if int(n) < 1:
+        raise ShapeError(f"repeat_batch: count must be >= 1, got {n}")
+
+    def grad_fn(g):
+        return (g.sum(axis=0, keepdims=True),)
+
+    return _result(np.repeat(x.data, int(n), axis=0), (x,), grad_fn, "repeat_batch")
+
+
+def take_rows(x: Tensor, index) -> Tensor:
+    """Rows ``x[index]`` along axis 0; backward scatter-adds into the picked rows."""
+    index = np.asarray(index, dtype=np.intp)
+    if x.data.ndim < 1 or index.ndim != 1:
+        raise ShapeError(f"take_rows: need a batch axis and a 1-D index, got {x.shape} and {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise ShapeError(f"take_rows: index out of range for {x.shape[0]} rows")
+    shape = x.shape
+
+    def grad_fn(g):
+        out = np.zeros(shape, dtype=g.dtype)
+        np.add.at(out, index, g)
+        return (out,)
+
+    return _result(x.data[index], (x,), grad_fn, "take_rows")
+
+
+def center(x: Tensor) -> Tensor:
+    """Each sample of [N,...] minus its own mean over all of its entries."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"center: expected a batch axis and sample axes, got shape {x.shape}")
+    axes = tuple(range(1, x.data.ndim))
+
+    def grad_fn(g):
+        return (g - g.mean(axis=axes, keepdims=True),)
+
+    return _result(x.data - x.data.mean(axis=axes, keepdims=True), (x,), grad_fn, "center")
+
+
+def batch_gram(x: Tensor) -> Tensor:
+    """x @ xᵀ per sample: [N,C,P] -> [N,C,C]."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"batch_gram: expected rank 3, got shape {x.shape}")
+
+    def grad_fn(g):
+        return ((g + g.transpose(0, 2, 1)) @ x.data,)
+
+    return _result(x.data @ x.data.transpose(0, 2, 1), (x,), grad_fn, "batch_gram")
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

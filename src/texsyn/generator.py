@@ -123,24 +123,16 @@ def embed(params: ParamSet, selection: SelectionUnit) -> Tensor:
 
 
 def seed_maps(noise: Tensor, embedding: Tensor) -> Tensor:
-    """Outer product of noise and embedding as n*d separate 1x1 maps."""
-    n, d = noise.size, embedding.size
-    out = ad.matmul(ad.reshape(noise, (n, 1)), ad.reshape(embedding, (1, d)))
-    return ad.reshape(out, (1, n * d, 1, 1))
-
-
-def _zero_guidance(config: SynthesisConfig, dtype) -> list:
-    maps = []
-    for s in range(1, config.scales + 1):
-        size = config.base_size * 2**s
-        maps.append(
-            Tensor(np.zeros((1, config.guidance_channels, size, size)), dtype=dtype)
-        )
-    return maps
+    """Outer products of noise [N,n] (or one vector (n,)) and the embedding (d,)
+    as N batches of n*d separate 1x1 maps: [N, n*d, 1, 1]."""
+    n, d = noise.shape[-1], embedding.size
+    batch = noise.size // n
+    out = ad.matmul(ad.reshape(noise, (batch * n, 1)), ad.reshape(embedding, (1, d)))
+    return ad.reshape(out, (batch, n * d, 1, 1))
 
 
 def selector_guidance(params: ParamSet, embedding: Tensor) -> list:
-    """One guidance map per scale, sized to match the generator there."""
+    """One guidance map [1,gc,s,s] per scale, sized to match the generator there."""
     c = params.config
     t = params.tensors
     x = ad.matmul(ad.reshape(embedding, (1, c.embed_dim)), t["selector.proj"])
@@ -165,32 +157,40 @@ def generate(
     noise,
     use_selector: bool = True,
 ) -> Tensor:
-    """Synthesize one image [3,S,S] in [-1,1]; pure in all arguments.
+    """Synthesize images in [-1,1]; pure in all arguments.
 
-    With ``use_selector`` off (an ablation) the guidance maps are zeros of
-    the same shapes, so the generator stream runs unchanged but receives
-    no texture information beyond the seed maps.
+    One noise vector (noise_dim,) gives one image [3,S,S]; a batch of
+    noise [N,noise_dim] gives [N,3,S,S].  The embedding and the selector
+    stream run once per call and are repeated over the batch.  With
+    ``use_selector`` off (an ablation) the guidance maps are zeros of the
+    same shapes, so the generator stream runs unchanged but receives no
+    texture information beyond the seed maps.
     """
     c = params.config
     t = params.tensors
     if not isinstance(noise, Tensor):
         noise = Tensor(np.asarray(noise), dtype=t["embedding"].dtype)
-    if noise.shape != (c.noise_dim,):
-        raise ShapeError(f"noise has shape {noise.shape}, expected ({c.noise_dim},)")
+    single = noise.data.ndim == 1
+    if noise.shape[-1:] != (c.noise_dim,) or noise.data.ndim > 2 or noise.size == 0:
+        raise ShapeError(
+            f"noise has shape {noise.shape}, expected ({c.noise_dim},) or (N, {c.noise_dim})"
+        )
+    batch = noise.size // c.noise_dim
     e = embed(params, selection)
     x = ad.full_conv2d(seed_maps(noise, e), t["seed.kernel"])
     x = ad.leaky_relu(x, 0.2)
-    guidance = (
-        selector_guidance(params, e)
-        if use_selector
-        else _zero_guidance(c, noise.dtype)
-    )
+    guidance = selector_guidance(params, e) if use_selector else None
     for s in range(1, c.scales + 1):
         x = ad.upsample_nearest(x, 2)
-        x = ad.concat_channels(x, guidance[s - 1])
+        g = (
+            guidance[s - 1]
+            if guidance
+            else Tensor(np.zeros((1, c.guidance_channels) + x.shape[2:]), dtype=x.dtype)
+        )
+        x = ad.concat_channels(x, ad.repeat_batch(g, batch))
         x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1), 0.2)
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
-    return ad.reshape(x, (3, c.output_size, c.output_size))
+    return ad.reshape(x, (3, c.output_size, c.output_size)) if single else x
 
 
 def sample_noise(config: SynthesisConfig, gen: np.random.Generator) -> np.ndarray:

@@ -92,11 +92,25 @@ def _primitive_cases(rng):
         "leaky_relu": lambda: (lambda a: ad.leaky_relu(a, 0.2).sum(), [karr(4, 5)]),
         "tanh": lambda: (lambda a: ad.tanh(a).sum(), [arr(4, 5)]),
         "reshape": lambda: (lambda a: ad.reshape(a, (8, 2)).sum(), [arr(4, 4)]),
-        "transpose2d": lambda: (lambda a: ad.transpose2d(a).sum(), [arr(3, 5)]),
         "mean": lambda: (lambda a: ad.mean(a), [arr(4, 4)]),
         "sum": lambda: (lambda a: a.sum(), [arr(3, 3)]),
         "l1_norm": lambda: (lambda a: ad.l1_norm(a), [karr(4, 4)]),
         "matmul": lambda: (lambda a, b: ad.matmul(a, b).sum(), [arr(3, 4), arr(4, 2)]),
+        # weighted sums, so the Gram's backward sees an asymmetric adjoint
+        # and each copy or picked row its own weight
+        "batch_gram": lambda: (
+            lambda a, w: ad.mul(ad.batch_gram(a), w).sum(),
+            [arr(2, 3, 4), arr(2, 3, 3)],
+        ),
+        "center": lambda: (lambda a, w: ad.mul(ad.center(a), w).sum(), [arr(2, 3, 4), arr(2, 3, 4)]),
+        "repeat_batch": lambda: (
+            lambda a, w: ad.mul(ad.repeat_batch(a, 3), w).sum(),
+            [arr(1, 2, 3), arr(3, 2, 3)],
+        ),
+        "take_rows": lambda: (
+            lambda a, w: ad.mul(ad.take_rows(a, [2, 0, 2, 1]), w).sum(),
+            [arr(3, 2, 2), arr(4, 2, 2)],
+        ),
         "concat_channels": lambda: (
             lambda a, b: ad.concat_channels(a, b).sum(),
             [arr(1, 2, 3, 3), arr(1, 3, 3, 3)],
@@ -151,7 +165,7 @@ def _composite_setup(seed: int):
     loop = trainer.LoopConfig(seed=seed, batch_size=2, diversity_tap="conv2_1")
     params = init_params(synth, seed)
     rng = np.random.default_rng(seed + 2)
-    noises = [rng.uniform(-1, 1, synth.noise_dim) for _ in range(2)]
+    noises = rng.uniform(-1, 1, (2, synth.noise_dim))
     goal = centered_gram(
         Tensor(rng.standard_normal((4, 4, 4)), dtype=CHECK_DTYPE)
     ).data
@@ -165,10 +179,9 @@ def _composite_setup(seed: int):
 
     def build(*tensors):
         p = type(params)(config=synth, tensors=dict(zip(names, tensors)))
-        draws = iter(noises)
 
-        def render():
-            return generate(p, one_hot(synth, 1), Tensor(next(draws), dtype=tensors[0].dtype))
+        def render(n):
+            return generate(p, one_hot(synth, 1), Tensor(noises[:n], dtype=tensors[0].dtype))
 
         l_tex, l_div, _ = trainer.batch_losses(
             loop, extractor, target, render, ("conv1_1",), np.random.default_rng(sigma_rng_seed)

@@ -144,46 +144,55 @@ def load_image(path: str) -> ImageBuffer:
     return ImageBuffer(np.ascontiguousarray(rgb))
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """Undo the per-row filters of a decompressed stream of (1 + stride)-byte rows."""
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     out = np.zeros((height, stride), dtype=np.uint8)
-    pos = 0
+    prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):
-        ftype = raw[pos]
-        pos += 1
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos).copy()
-        pos += stride
-        prev = out[y - 1] if y else np.zeros(stride, dtype=np.uint8)
+        ftype, line = rows[y, 0], rows[y, 1:]
         if ftype == 0:
             out[y] = line
-        elif ftype == 1:  # add left neighbor
-            for i in range(stride):
-                left = out[y, i - bpp] if i >= bpp else 0
-                out[y, i] = (int(line[i]) + int(left)) & 0xFF
+        elif ftype == 1:  # add left neighbor: a running sum mod 256 per channel
+            out[y] = np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(stride)
         elif ftype == 2:  # add up neighbor
             out[y] = line + prev
-        elif ftype == 3:  # add mean of left and up
-            for i in range(stride):
-                left = int(out[y, i - bpp]) if i >= bpp else 0
-                out[y, i] = (int(line[i]) + (left + int(prev[i])) // 2) & 0xFF
-        elif ftype == 4:  # Paeth predictor
-            for i in range(stride):
-                left = int(out[y, i - bpp]) if i >= bpp else 0
-                up_left = int(prev[i - bpp]) if i >= bpp else 0
-                out[y, i] = (int(line[i]) + _paeth(left, int(prev[i]), up_left)) & 0xFF
+        elif ftype in (3, 4):  # mean of left and up; Paeth predictor
+            undo = _unfilter_average if ftype == 3 else _unfilter_paeth
+            out[y] = np.frombuffer(undo(bytearray(line), prev.tobytes(), bpp), dtype=np.uint8)
         else:
             raise PngError(
                 f"unknown filter type {ftype} in row {y} of the decompressed stream",
-                pos - 1 - stride,
+                y * (stride + 1),
             )
+        prev = out[y]
     return out
+
+
+def _unfilter_average(cur: bytearray, prev: bytes, bpp: int) -> bytearray:
+    """Average-filtered row ``cur`` decoded in place on Python ints."""
+    for i in range(bpp):
+        cur[i] = (cur[i] + (prev[i] >> 1)) & 0xFF
+    for i in range(bpp, len(cur)):
+        cur[i] = (cur[i] + ((cur[i - bpp] + prev[i]) >> 1)) & 0xFF
+    return cur
+
+
+def _unfilter_paeth(cur: bytearray, prev: bytes, bpp: int) -> bytearray:
+    """Paeth-filtered row ``cur`` decoded in place on Python ints."""
+    for i in range(bpp):  # left and up-left are 0, so the predictor is up
+        cur[i] = (cur[i] + prev[i]) & 0xFF
+    for i in range(bpp, len(cur)):
+        a, b, c = cur[i - bpp], prev[i], prev[i - bpp]
+        pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+        if pa <= pb and pa <= pc:
+            predicted = a
+        elif pb <= pc:
+            predicted = b
+        else:
+            predicted = c
+        cur[i] = (cur[i] + predicted) & 0xFF
+    return cur
 
 
 def save_image(buffer: ImageBuffer, path: str) -> None:

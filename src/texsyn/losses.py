@@ -33,34 +33,46 @@ class TextureTarget:
 
 
 def _flatten_spatial(features: Tensor) -> tuple:
-    if features.data.ndim != 3:
-        raise ShapeError(f"gram: expected rank-3 features, got shape {features.shape}")
-    c, h, w = features.shape
-    return ad.reshape(features, (c, h * w)), h * w
+    """[C,H,W] or [N,C,H,W] features as [N,C,H*W], plus H*W and whether N was given."""
+    single = features.data.ndim == 3
+    if not single and features.data.ndim != 4:
+        raise ShapeError(f"gram: expected rank-3 or rank-4 features, got shape {features.shape}")
+    n, c, h, w = (1,) + features.shape if single else features.shape
+    return ad.reshape(features, (n, c, h * w)), h * w, single
+
+
+def _gram_of(flat: Tensor, positions: int, single: bool) -> Tensor:
+    g = ad.scale(ad.batch_gram(flat), 1.0 / positions)
+    return ad.reshape(g, g.shape[1:]) if single else g
 
 
 def gram(features: Tensor) -> Tensor:
-    """G[i,j] = (1/(H*W)) * sum_k F[i,k]*F[j,k] over spatial positions k."""
-    flat, positions = _flatten_spatial(features)
-    return ad.scale(ad.matmul(flat, ad.transpose2d(flat)), 1.0 / positions)
+    """G[i,j] = (1/(H*W)) * sum_k F[i,k]*F[j,k] over spatial positions k.
+
+    Features [C,H,W] give [C,C]; a batch [N,C,H,W] gives one Gram per
+    sample, [N,C,C].
+    """
+    return _gram_of(*_flatten_spatial(features))
 
 
 def centered_gram(features: Tensor) -> Tensor:
-    """Gram of features with the layer's scalar mean activation removed."""
-    flat, positions = _flatten_spatial(features)
-    centered = ad.sub(flat, ad.mean(flat))
-    return ad.scale(ad.matmul(centered, ad.transpose2d(centered)), 1.0 / positions)
+    """Gram of features with each sample's scalar mean activation removed."""
+    flat, positions, single = _flatten_spatial(features)
+    return _gram_of(ad.center(flat), positions, single)
 
 
 def texture_loss(target: TextureTarget, output_feats: dict) -> Tensor:
-    """L1 distance between target and output centered Grams, summed over taps."""
+    """L1 distance between target and output centered Grams, summed over taps.
+
+    Batched features [N,C,H,W] add up the L1 distances of the N samples.
+    """
     missing = [tap for tap in target.grams if tap not in output_feats]
     if missing:
         raise ValueError(f"output features missing taps {missing}")
     total = None
     for tap, goal in target.grams.items():
         out_gram = centered_gram(output_feats[tap])
-        goal_t = Tensor(goal, dtype=out_gram.dtype)
+        goal_t = Tensor(np.broadcast_to(goal, out_gram.shape), dtype=out_gram.dtype)
         term = ad.l1_norm(ad.sub(out_gram, goal_t))
         total = term if total is None else ad.add(total, term)
     if total is None:
@@ -78,28 +90,22 @@ def derangement(n: int, rng: np.random.Generator) -> np.ndarray:
             return perm
 
 
-def diversity_loss(batch_feats: list, rng: np.random.Generator) -> Tensor:
+def diversity_loss(features: Tensor, rng: np.random.Generator) -> Tensor:
     """Mean L1 distance between each sample's features and a deranged partner.
 
-    Each distance is divided by the spatial size of the tap map, the same
-    divisor the Gram statistics use, so the term keeps its weight relative
-    to the texture losses across image sizes.
+    ``features`` is one batch [N,C,H,W]; row i is paired with row sigma[i]
+    of a random derangement sigma.  Each distance is divided by the spatial
+    size of the tap map, the same divisor the Gram statistics use, so the
+    term keeps its weight relative to the texture losses across image sizes.
     """
-    n = len(batch_feats)
+    if features.data.ndim != 4:
+        raise ShapeError(f"diversity loss: expected features [N,C,H,W], got shape {features.shape}")
+    n = features.shape[0]
     if n < 2:
         raise ValueError(f"diversity loss needs a batch of >= 2, got {n}")
-    shape = batch_feats[0].shape
-    for f in batch_feats[1:]:
-        if f.shape != shape:
-            raise ShapeError(
-                f"diversity loss: mixed feature shapes {shape} and {f.shape}"
-            )
     sigma = derangement(n, rng)
-    total = None
-    for i in range(n):
-        term = ad.l1_norm(ad.sub(batch_feats[i], batch_feats[sigma[i]]))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / (n * int(np.prod(shape[1:]))))
+    distance = ad.l1_norm(ad.sub(features, ad.take_rows(features, sigma)))
+    return ad.scale(distance, 1.0 / (n * int(np.prod(features.shape[2:]))))
 
 
 def total_loss(texture: Tensor, diversity: Tensor, alpha: float = 1.0, beta: float = -1.0) -> Tensor:

@@ -183,25 +183,20 @@ def batch_losses(
     taps,
     rng: np.random.Generator,
 ) -> tuple:
-    """The objective of one batch: ``config.batch_size`` calls of ``render()``.
+    """The objective of one batch: ``render(config.batch_size)`` images [N,3,S,S].
 
     Returns (mean texture loss against ``target``, diversity loss over
-    deranged pairs, the renders' ``config.diversity_tap`` maps).  When beta
-    is nonzero the diversity tap joins ``taps``; when it is 0 the diversity
-    loss is a zero scalar and the maps are there only if ``taps`` names it.
+    deranged pairs, the batch's ``config.diversity_tap`` maps [N,C,H,W]).
+    When beta is nonzero the diversity tap joins ``taps``; when it is 0 the
+    diversity loss is a zero scalar and the maps are None unless ``taps``
+    names the tap.
     """
     taps = tuple(taps)
     if config.beta != 0.0 and config.diversity_tap not in taps:
         taps = taps + (config.diversity_tap,)
-    tex_sum = None
-    maps = []
-    for _ in range(config.batch_size):
-        feats = extract(extractor, render(), taps)
-        term = texture_loss(target, feats)
-        tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
-        if config.diversity_tap in feats:
-            maps.append(feats[config.diversity_tap])
-    l_texture = ad.scale(tex_sum, 1.0 / config.batch_size)
+    feats = extract(extractor, render(config.batch_size), taps)
+    l_texture = ad.scale(texture_loss(target, feats), 1.0 / config.batch_size)
+    maps = feats.get(config.diversity_tap)
     if config.beta == 0.0:
         return l_texture, Tensor(np.zeros((), dtype=l_texture.dtype)), maps
     return l_texture, diversity_loss(maps, rng), maps
@@ -220,8 +215,8 @@ def train_step(
     """One optimization step; mutates params, returns (texture, diversity, total) losses."""
     selection = one_hot(params.config, texture_id)
 
-    def render():
-        noise = sample_noise(params.config, noise_rng)
+    def render(n):
+        noise = np.stack([sample_noise(params.config, noise_rng) for _ in range(n)])
         return generate(params, selection, noise, use_selector=config.use_selector)
 
     l_texture, l_diversity, _ = batch_losses(

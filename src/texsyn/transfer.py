@@ -105,11 +105,15 @@ def transfer(
     content: Tensor,
     selection: SelectionUnit,
     rng: np.random.Generator,
+    samples: int | None = None,
 ) -> Tensor:
     """Stylize content under the selection's weights; same spatial size out.
 
     Differentiable in params.  The selection's noise maps join the encoder
-    output at the bottleneck.
+    output at the bottleneck.  By default one image [3,H,W] comes out;
+    with ``samples=n`` the content is encoded once, its bottleneck repeated
+    n times, and n noise-map sets drawn from ``rng`` in turn give
+    [n,3,H,W].
     """
     c = params.config
     t = params.tensors
@@ -120,17 +124,22 @@ def transfer(
         )
     if content.data.ndim != 3 or content.shape[0] != 3:
         raise ShapeError(f"content must be [3,H,W], got shape {content.shape}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     h, w = content.shape[1], content.shape[2]
     s = c.stride
     if h % s or w % s:
         raise ShapeError(f"content size {h}x{w} not divisible by encoder stride {s}")
-    noise = sample_noise_maps(c, (h // s, w // s), selection.weights, rng)
+    batch = 1 if samples is None else samples
+    noise = np.stack(
+        [sample_noise_maps(c, (h // s, w // s), selection.weights, rng) for _ in range(batch)]
+    )
     x = ad.reshape(content, (1,) + content.shape)
     for i in range(1, len(c.enc_widths) + 1):
         x = ad.leaky_relu(
             ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1), 0.2
         )
-    x = ad.concat_channels(x, Tensor(noise.reshape((1,) + noise.shape), dtype=x.dtype))
+    x = ad.concat_channels(ad.repeat_batch(x, batch), Tensor(noise, dtype=x.dtype))
     for i in range(1, len(c.dec_widths) + 1):
         if i > 1:
             x = ad.upsample_nearest(x, 2)
@@ -138,7 +147,7 @@ def transfer(
             ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1), 0.2
         )
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
-    return ad.reshape(x, (3, h, w))
+    return ad.reshape(x, (3, h, w)) if samples is None else x
 
 
 def interpolate_styles(
@@ -161,7 +170,10 @@ def content_loss(output: Tensor, content: Tensor, extractor: Extractor, tap: str
 
 
 def content_distance(out_feat: Tensor, ref_feat: Tensor) -> Tensor:
-    """L1 distance of two feature maps over the element count."""
+    """L1 distance of two feature maps over the element count.
+
+    On batches [N,C,H,W] this is the mean of the N per-sample distances.
+    """
     return ad.scale(ad.l1_norm(ad.sub(out_feat, ref_feat)), 1.0 / out_feat.size)
 
 
@@ -191,11 +203,11 @@ def train_transfer(
         extractor = build_extractor(ExtractorConfig(seed=0))
 
     targets = precompute_targets(extractor, styles, taps=config.style_taps)
-    content_arrays = [
-        (c.data if isinstance(c, Tensor) else np.asarray(c)).astype(np.float32)
-        for c in contents
-    ]
     params = init_transfer_params(net_config, config.seed)
+    dtype = params.tensors["rgb.kernel"].dtype  # contents take the weights' width
+    content_arrays = [
+        (c.data if isinstance(c, Tensor) else np.asarray(c)).astype(dtype) for c in contents
+    ]
     optimizer = Adam(params.parameters(), lr=config.lr)
     noise_rng = _rng.stream(config.seed, "transfer-noise")
     derangement_rng = _rng.stream(config.seed, "derangement")
@@ -212,13 +224,10 @@ def train_transfer(
         content_feat = extract(extractor, content, [deep])[deep].detach()
         l_style, l_diversity, maps = batch_losses(
             config, extractor, targets[style_id - 1],
-            lambda: transfer(params, content, selection, noise_rng), taps, derangement_rng,
+            lambda n: transfer(params, content, selection, noise_rng, samples=n), taps, derangement_rng,
         )
-        content_sum = None
-        for out_feat in maps:
-            c_term = content_distance(out_feat, content_feat)
-            content_sum = c_term if content_sum is None else ad.add(content_sum, c_term)
-        l_content = ad.scale(content_sum, 1.0 / config.batch_size)
+        reference = ad.repeat_batch(ad.reshape(content_feat, (1,) + content_feat.shape), config.batch_size)
+        l_content = content_distance(maps, reference)
         loss = ad.add(
             total_loss(l_style, l_diversity, config.alpha, config.beta),
             ad.scale(l_content, config.content_weight),

@@ -1,4 +1,4 @@
-"""Deterministic synthetic exemplar textures for tests.
+"""Deterministic synthetic exemplar textures for tests, and one loss oracle.
 
 Three sinusoidal gratings from a single pattern family, differing in
 orientation and per-channel phase palette.  Sharing one family makes the
@@ -9,7 +9,9 @@ Desk-scale stand-ins for photographic texture swatches.
 
 import numpy as np
 
+from texsyn import autodiff as ad
 from texsyn.images import ImageBuffer, save_image
+from texsyn.losses import derangement
 
 
 def _grating(direction, phases, size: int, seed: int) -> np.ndarray:
@@ -91,3 +93,15 @@ def cloud_texture(size: int = 32, seed: int = 4, cycles=(1.0, 2.0)) -> np.ndarra
         chans.append(0.5 + 0.5 * field / len(cycles))
     img = np.stack(chans, axis=2)
     return np.clip(img * 255.0, 0, 255).astype(np.uint8)
+
+
+def per_sample_diversity(maps: list, rng: np.random.Generator):
+    """The diversity loss over a list of [C,H,W] maps, one L1 term per pair:
+    the per-sample form that ``losses.diversity_loss`` batches."""
+    n = len(maps)
+    sigma = derangement(n, rng)
+    total = None
+    for i in range(n):
+        term = ad.l1_norm(ad.sub(maps[i], maps[sigma[i]]))
+        total = term if total is None else ad.add(total, term)
+    return ad.scale(total, 1.0 / (n * int(np.prod(maps[0].shape[1:]))))

@@ -134,7 +134,7 @@ def test_criterion_02_gram_oracles():
 
 def test_criterion_03_diversity_semantics():
     rng = np.random.default_rng(1)
-    batch = [Tensor(np.full((2, 3, 3), 0.7)) for _ in range(4)]
+    batch = Tensor(np.full((4, 2, 3, 3), 0.7))  # four identical [2,3,3] maps
     assert float(diversity_loss(batch, rng).data) == 0.0
 
     draw_rng = stream(0, "derangement")

@@ -210,10 +210,9 @@ def test_grad_scale_relu_leaky_tanh():
     check_grads(lambda x: ad.tanh(x).sum(), [a])
 
 
-def test_grad_reshape_transpose_mean_l1():
+def test_grad_reshape_mean_l1():
     a = arr(3, 4) + 0.05
     check_grads(lambda x: ad.reshape(x, (2, 6)).sum(), [a])
-    check_grads(lambda x: ad.transpose2d(x).sum(), [a])
     check_grads(lambda x: ad.mean(x), [a])
     check_grads(lambda x: ad.l1_norm(x), [a])
 
@@ -225,6 +224,41 @@ def test_grad_outer_matmul():
         [arr(3), arr(5)],
     )
     check_grads(lambda x, y: ad.matmul(x, y).sum(), [arr(3, 4), arr(4, 2)])
+
+
+def test_batch_ops_match_numpy_oracles():
+    x = arr(3, 2, 4)
+    rows = [2, 0, 2]
+    gram = ad.batch_gram(Tensor(x, dtype=CHECK_DTYPE)).data
+    for i in range(3):
+        np.testing.assert_allclose(gram[i], x[i] @ x[i].T, rtol=1e-12)
+    centered = ad.center(Tensor(x, dtype=CHECK_DTYPE)).data
+    for i in range(3):
+        np.testing.assert_allclose(centered[i], x[i] - x[i].mean(), atol=1e-12)
+    np.testing.assert_array_equal(ad.take_rows(Tensor(x, dtype=CHECK_DTYPE), rows).data, x[rows])
+    np.testing.assert_array_equal(
+        ad.repeat_batch(Tensor(x[:1], dtype=CHECK_DTYPE), 4).data, np.concatenate([x[:1]] * 4)
+    )
+
+
+def test_grad_batch_ops():
+    w, v = arr(4, 3, 2), Tensor(arr(4, 3, 3), dtype=CHECK_DTYPE)
+    check_grads(lambda x: ad.mul(ad.repeat_batch(x, 4), Tensor(w, dtype=CHECK_DTYPE)).sum(), [arr(1, 3, 2)])
+    # a repeated row gathers the adjoints of both of its copies
+    check_grads(lambda x: ad.mul(ad.take_rows(x, [1, 1, 0, 2]), Tensor(w, dtype=CHECK_DTYPE)).sum(), [arr(3, 3, 2)])
+    check_grads(lambda x: ad.mul(ad.center(x), Tensor(w, dtype=CHECK_DTYPE)).sum(), [arr(4, 3, 2)])
+    check_grads(lambda x: ad.mul(ad.batch_gram(x), v).sum(), [w])
+
+
+def test_batch_op_shape_errors():
+    with pytest.raises(ShapeError):
+        ad.repeat_batch(Tensor(np.ones((2, 3))), 2)
+    with pytest.raises(ShapeError):
+        ad.take_rows(Tensor(np.ones((2, 3))), [0, 2])
+    with pytest.raises(ShapeError):
+        ad.batch_gram(Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.center(Tensor(np.ones(3)))
 
 
 def test_grad_concat_upsample_pool():
@@ -280,6 +314,14 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(a.grad, np.full((2, 2), 6.0))
     a.zero_grad()
     np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
+
+
+def test_backward_leaves_no_gradient_on_operation_results():
+    a = Tensor(np.ones((2, 2)), requires_grad=True, dtype=CHECK_DTYPE)
+    y = ad.scale(a, 3.0)
+    y.sum().backward()
+    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
+    assert y._grad is None
 
 
 def test_backward_handles_shared_subgraph():

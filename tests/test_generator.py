@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texsyn import generator as gn
 from texsyn.autodiff import ShapeError, Tensor
@@ -117,6 +119,37 @@ def test_generate_is_pure(params):
     a = generate(params, one_hot(CFG, 1), noise(5))
     b = generate(params, one_hot(CFG, 1), noise(5))
     np.testing.assert_array_equal(a.data, b.data)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+@settings(max_examples=12, deadline=None)
+def test_batch_rows_equal_single_images(params, n, seed, use_selector, k):
+    # the batch runs the same per-sample arithmetic, so rows match bitwise
+    draws = np.random.default_rng(seed).uniform(-1, 1, (n, CFG.noise_dim))
+    batch = generate(params, one_hot(CFG, k), draws, use_selector=use_selector).data
+    assert batch.shape == (n, 3, CFG.output_size, CFG.output_size)
+    for i in range(n):
+        single = generate(params, one_hot(CFG, k), draws[i], use_selector=use_selector).data
+        np.testing.assert_array_equal(batch[i], single)
+
+
+def test_batch_gradients_equal_summed_single_gradients():
+    p = init_params(CFG, seed=3)
+    draws = np.random.default_rng(1).uniform(-1, 1, (3, CFG.noise_dim))
+    generate(p, one_hot(CFG, 2), draws).sum().backward()
+    batched = {name: t.grad.copy() for name, t in p.tensors.items()}
+    p.zero_grad()
+    for row in draws:
+        generate(p, one_hot(CFG, 2), row).sum().backward()  # grads accumulate
+    for name, t in p.tensors.items():
+        scale = max(np.max(np.abs(t.grad)), 1e-30)
+        assert np.max(np.abs(batched[name] - t.grad)) <= 1e-5 * scale, name
+
+
+def test_generate_rejects_malformed_noise(params):
+    for shape in [(CFG.noise_dim + 1,), (2, CFG.noise_dim - 1), (1, 1, CFG.noise_dim), (0, CFG.noise_dim)]:
+        with pytest.raises(ShapeError):
+            generate(params, one_hot(CFG, 1), np.zeros(shape))
 
 
 def test_generate_depends_on_noise_and_selection(params):

@@ -11,10 +11,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texsyn.images import (
     ImageBuffer,
     PngError,
+    _unfilter,
     denormalize,
     load_image,
     normalize,
@@ -245,6 +248,71 @@ def test_missing_iend(tmp_path):
     open(path, "wb").write(blob[: len(blob) - 12])
     with pytest.raises(PngError):
         load_image(path)
+
+
+def per_byte_paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def per_byte_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """The decoder's earlier unfilter, one numpy byte at a time: the oracle."""
+    out = np.zeros((height, stride), dtype=np.uint8)
+    pos = 0
+    for y in range(height):
+        ftype = raw[pos]
+        pos += 1
+        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=pos).copy()
+        pos += stride
+        prev = out[y - 1] if y else np.zeros(stride, dtype=np.uint8)
+        if ftype == 0:
+            out[y] = line
+        elif ftype == 1:
+            for i in range(stride):
+                left = out[y, i - bpp] if i >= bpp else 0
+                out[y, i] = (int(line[i]) + int(left)) & 0xFF
+        elif ftype == 2:
+            out[y] = line + prev
+        elif ftype == 3:
+            for i in range(stride):
+                left = int(out[y, i - bpp]) if i >= bpp else 0
+                out[y, i] = (int(line[i]) + (left + int(prev[i])) // 2) & 0xFF
+        elif ftype == 4:
+            for i in range(stride):
+                left = int(out[y, i - bpp]) if i >= bpp else 0
+                up_left = int(prev[i - bpp]) if i >= bpp else 0
+                out[y, i] = (int(line[i]) + per_byte_paeth(left, int(prev[i]), up_left)) & 0xFF
+        else:
+            raise ValueError(f"unknown filter type {ftype}")
+    return out
+
+
+@given(
+    st.sampled_from([0, 2, 4, 6]),
+    st.integers(1, 40),
+    st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_unfilter_equals_the_per_byte_decoder(color_type, width, filters, seed):
+    bpp = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
+    stride = width * bpp
+    rng = np.random.default_rng(seed)
+    raw = b"".join(bytes([f]) + rng.integers(0, 256, stride, dtype=np.uint8).tobytes() for f in filters)
+    want = per_byte_unfilter(raw, len(filters), stride, bpp)
+    np.testing.assert_array_equal(_unfilter(raw, len(filters), stride, bpp), want)
+
+
+def test_unknown_filter_type_names_its_row(tmp_path):
+    raw = b"\x00" + bytes(6) + b"\x05" + bytes(6)  # rows 0 and 1 of a 2x2 RGB image
+    path = str(tmp_path / "filter5.png")
+    open(path, "wb").write(png_with_idat(2, 2, zlib.compress(raw)))
+    with pytest.raises(PngError, match="filter type 5 in row 1") as info:
+        load_image(path)
+    assert info.value.offset == 7
 
 
 # ---------------------------------------------------------------------------

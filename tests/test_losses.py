@@ -117,7 +117,16 @@ def test_gram_rejects_wrong_rank():
     with pytest.raises(ShapeError):
         gram(Tensor(np.zeros((3, 4))))
     with pytest.raises(ShapeError):
-        centered_gram(Tensor(np.zeros((1, 3, 4, 4))))
+        centered_gram(Tensor(np.zeros((1, 1, 3, 4, 4))))
+
+
+@pytest.mark.parametrize("fn", [gram, centered_gram])
+def test_batched_gram_rows_equal_single_grams(fn):
+    f = RNG.standard_normal((3, 4, 5, 2))
+    batched = fn(Tensor(f, dtype=CHECK_DTYPE)).data
+    assert batched.shape == (3, 4, 4)
+    for i in range(3):
+        np.testing.assert_allclose(batched[i], fn(Tensor(f[i], dtype=CHECK_DTYPE)).data, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,16 @@ def test_texture_loss_scalar_case():
     target = TextureTarget(texture_id=1, grams={"conv1_1": centered_gram(f_tgt).data})
     loss = texture_loss(target, {"conv1_1": f_out})
     assert abs(float(loss.data) - 2.0) < 1e-9
+
+
+def test_texture_loss_on_a_batch_sums_the_samples():
+    f = RNG.standard_normal((3, 4, 4, 4))
+    target = TextureTarget(
+        texture_id=1, grams={"conv1_1": centered_gram(Tensor(RNG.standard_normal((4, 4, 4)), dtype=CHECK_DTYPE)).data}
+    )
+    batched = float(texture_loss(target, {"conv1_1": Tensor(f, dtype=CHECK_DTYPE)}).data)
+    singles = [float(texture_loss(target, {"conv1_1": Tensor(x, dtype=CHECK_DTYPE)}).data) for x in f]
+    np.testing.assert_allclose(batched, sum(singles), rtol=1e-12)
 
 
 def test_texture_loss_missing_tap_rejected():
@@ -234,7 +253,8 @@ def test_derangement_rejects_small_n():
 
 
 def feats(*arrays):
-    return [Tensor(a, dtype=CHECK_DTYPE) for a in arrays]
+    """One [N,C,H,W] batch of the per-sample maps."""
+    return Tensor(np.stack(arrays), dtype=CHECK_DTYPE)
 
 
 def test_diversity_zero_on_identical_batch():
@@ -289,20 +309,21 @@ def test_diversity_rejects_batch_of_one():
         diversity_loss(feats(RNG.standard_normal((2, 2, 2))), np.random.default_rng(0))
 
 
-def test_diversity_rejects_mixed_shapes():
+def test_diversity_rejects_features_without_a_batch_axis():
     with pytest.raises(ShapeError):
-        diversity_loss(
-            feats(RNG.standard_normal((2, 2, 2)), RNG.standard_normal((2, 2, 3))),
-            np.random.default_rng(0),
-        )
+        diversity_loss(Tensor(RNG.standard_normal((2, 2, 2))), np.random.default_rng(0))
 
 
 def test_diversity_gradients_flow_through_both_sides():
-    a = Tensor(RNG.standard_normal((2, 2, 2)), requires_grad=True, dtype=CHECK_DTYPE)
-    b = Tensor(RNG.standard_normal((2, 2, 2)), requires_grad=True, dtype=CHECK_DTYPE)
-    diversity_loss([a, b], np.random.default_rng(0)).backward()
-    assert np.any(a.grad != 0)
-    assert np.any(b.grad != 0)
+    # row i meets its partner as the sample and as the partner of another
+    # row; with N=2 both terms are |a-b|, so a's gradient is twice the one
+    # a single side would give
+    a, b = RNG.standard_normal((2, 2, 2)), RNG.standard_normal((2, 2, 2))
+    batch = Tensor(np.stack([a, b]), requires_grad=True, dtype=CHECK_DTYPE)
+    diversity_loss(batch, np.random.default_rng(0)).backward()
+    spatial = a.shape[1] * a.shape[2]
+    np.testing.assert_allclose(batch.grad[0], np.sign(a - b) / spatial, rtol=1e-12)
+    np.testing.assert_allclose(batch.grad[1], np.sign(b - a) / spatial, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from texsyn import rng as _rng
 from texsyn.autodiff import Tensor
 from texsyn.extractor import ExtractorConfig, build_extractor, extract
 from texsyn.generator import SynthesisConfig, generate, init_params, one_hot, sample_noise
-from texsyn.losses import diversity_loss, texture_loss, total_loss
+from texsyn.losses import texture_loss, total_loss
 from texsyn.optim import Adam
+from texsyn.serialize import ParamSet
+from helpers import per_sample_diversity
 from texsyn.trainer import (
     LossLog,
     Schedule,
@@ -336,41 +338,60 @@ def reference_step(params, target, cfg, noise_rng, derangement_rng) -> tuple:
     if cfg.beta == 0.0:
         l_diversity = Tensor(np.zeros((), dtype=l_texture.dtype))
     else:
-        l_diversity = diversity_loss(div_feats, derangement_rng)
+        l_diversity = per_sample_diversity(div_feats, derangement_rng)
     return l_texture, l_diversity, total_loss(l_texture, l_diversity, cfg.alpha, cfg.beta)
+
+
+def assert_agree(got: list, want: list, rtol: float) -> None:
+    """Each value within ``rtol`` of the reference, relative to the largest
+    magnitude of its tensor (a scalar loss: to itself)."""
+    for g, w in zip(got, want):
+        g, w = np.asarray(g, dtype=np.float64), np.asarray(w, dtype=np.float64)
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w)), (g, w)
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0])
 def test_batch_losses_equal_the_per_sample_loop(beta):
+    # The batch sums in another order than the per-sample loop, so the two
+    # agree to rounding: 1e-5 in float32 (the training width) and 1e-10 in
+    # float64, for the three losses and every parameter gradient.
     taps = ("conv1_1", "conv2_1")
     cfg = small_train_config(beta=beta, batch_size=4, texture_taps=taps, diversity_tap="conv3_1")
-    targets = precompute_targets(EXT, small_exemplars(), taps=taps)
-    runs = []
-    for way in ("reference", "batch_losses", "train_step"):
-        params = init_params(SMALL, seed=1)
-        # this stream's derangement, a 4-cycle, is not fixed by relabeling
-        # the batch, so the order of the diversity maps shows
-        noise_rng, derangement_rng = np.random.default_rng(0), np.random.default_rng(2)
-        if way == "reference":
-            losses = reference_step(params, targets[1], cfg, noise_rng, derangement_rng)
-            losses[2].backward()
-        elif way == "batch_losses":
-            def render():
-                return generate(params, one_hot(SMALL, 2), sample_noise(SMALL, noise_rng))
+    for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-10)):
+        targets = precompute_targets(EXT, small_exemplars(), taps=taps)
+        if dtype == np.float64:
+            targets = [
+                type(t)(t.texture_id, {tap: g.astype(dtype) for tap, g in t.grams.items()}) for t in targets
+            ]
+        runs = []
+        for way in ("reference", "batch_losses", "train_step"):
+            fresh = init_params(SMALL, seed=1)
+            params = ParamSet.of(SMALL, {n: t.data.astype(dtype) for n, t in fresh.tensors.items()})
+            # this stream's derangement, a 4-cycle, is not fixed by relabeling
+            # the batch, so the order of the diversity maps shows
+            noise_rng, derangement_rng = np.random.default_rng(0), np.random.default_rng(2)
+            if way == "reference":
+                losses = reference_step(params, targets[1], cfg, noise_rng, derangement_rng)
+                losses[2].backward()
+            elif way == "batch_losses":
+                def render(n):
+                    return generate(params, one_hot(SMALL, 2), np.stack([sample_noise(SMALL, noise_rng) for _ in range(n)]))
 
-            l_tex, l_div, maps = batch_losses(cfg, EXT, targets[1], render, taps, derangement_rng)
-            assert len(maps) == (4 if beta else 0)
-            losses = (l_tex, l_div, total_loss(l_tex, l_div, cfg.alpha, cfg.beta))
-            losses[2].backward()
-        else:
-            opt = Adam(params.parameters(), lr=cfg.lr)
-            losses = train_step(params, EXT, targets, 2, cfg, opt, noise_rng, derangement_rng)
-        values = [float(v.data) if isinstance(v, Tensor) else v for v in losses]
-        grads = {name: t.grad.tobytes() for name, t in params.tensors.items()}
-        runs.append((values, grads))
-        assert all(t.grad.dtype == np.float32 for t in params.tensors.values())
-    assert runs[0] == runs[1] == runs[2]
-    assert (runs[0][0][1] == 0.0) == (beta == 0.0)
+                l_tex, l_div, maps = batch_losses(cfg, EXT, targets[1], render, taps, derangement_rng)
+                assert (maps is not None and maps.shape[0] == 4) == (beta != 0.0)
+                losses = (l_tex, l_div, total_loss(l_tex, l_div, cfg.alpha, cfg.beta))
+                losses[2].backward()
+            else:
+                opt = Adam(params.parameters(), lr=cfg.lr)
+                losses = train_step(params, EXT, targets, 2, cfg, opt, noise_rng, derangement_rng)
+            values = [float(v.data) if isinstance(v, Tensor) else v for v in losses]
+            runs.append((values, [t.grad for t in params.tensors.values()]))
+            assert all(t.grad.dtype == dtype for t in params.tensors.values())
+        for values, grads in runs[1:]:
+            assert_agree(values, runs[0][0], rtol)
+            assert_agree(grads, runs[0][1], rtol)
+        assert (runs[0][0][1] == 0.0) == (beta == 0.0)
+        assert runs[1][0][1] == runs[2][0][1]
 
 
 def test_train_rejects_mismatched_config():
