@@ -197,49 +197,37 @@ def backward(loss: Tensor) -> None:
 # elementwise and reduction primitives
 
 
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> tuple:
-    """Output shape for an elementwise binary op; one side may be scalar."""
-    if a.shape == b.shape:
-        return a.shape
-    if a.size == 1:
-        return b.shape
-    if b.size == 1:
-        return a.shape
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    return g.sum().reshape(shape).astype(g.dtype, copy=False)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("add", a, b)
-    _binary_shapes("add", a, b)
+    _same_shape("add", a, b)
 
     def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
     return _result(a.data + b.data, (a, b), grad_fn, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("sub", a, b)
-    _binary_shapes("sub", a, b)
+    _same_shape("sub", a, b)
 
     def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return g, -g
 
     return _result(a.data - b.data, (a, b), grad_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_dtype("mul", a, b)
-    _binary_shapes("mul", a, b)
+    _same_shape("mul", a, b)
 
     def grad_fn(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return _result(a.data * b.data, (a, b), grad_fn, "mul")
 
@@ -294,16 +282,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(in_shape),)
 
     return _result(x.data.reshape(shape), (x,), grad_fn, "reshape")
-
-
-def mean(x: Tensor) -> Tensor:
-    inv = x.dtype.type(1.0 / x.size)
-    shape = x.shape
-
-    def grad_fn(g):
-        return (np.broadcast_to(g * inv, shape).astype(g.dtype, copy=False),)
-
-    return _result(x.data.mean(), (x,), grad_fn, "mean")
 
 
 def l1_norm(x: Tensor) -> Tensor:

@@ -105,13 +105,11 @@ def build_extractor(config: ExtractorConfig = ExtractorConfig()) -> Extractor:
 
 
 def extract(extractor: Extractor, image: Tensor, taps) -> dict:
-    """Run the extractor and return {tap name: feature Tensor}.
+    """Run the extractor on images [N,3,H,W]; returns {tap name: [N,C,h,w] Tensor}.
 
-    ``image`` is [3,H,W] for one image (taps come back [C,H,W]) or
-    [N,3,H,W] for a batch (taps come back [N,C,H,W]).  Differentiable with
-    respect to the image; the weights never receive gradients.  Stages past
-    the deepest requested tap are skipped.  A tap named twice or naming no
-    layer raises ValueError.
+    Differentiable with respect to the images; the weights never receive
+    gradients.  Stages past the deepest requested tap are skipped.  A tap
+    named twice or naming no layer raises ValueError.
     """
     config = extractor.config
     wanted = {}
@@ -120,17 +118,9 @@ def extract(extractor: Extractor, image: Tensor, taps) -> dict:
             raise ValueError(f"duplicate tap {tap!r}")
         wanted[tap] = config.locate_tap(tap)
 
-    single = image.data.ndim == 3
-    if single:
-        if image.shape[0] != 3:
-            raise ShapeError(f"extract: expected 3 channels, got shape {image.shape}")
-        x = ad.reshape(image, (1,) + image.shape)
-    elif image.data.ndim == 4:
-        if image.shape[1] != 3:
-            raise ShapeError(f"extract: expected 3 channels, got shape {image.shape}")
-        x = image
-    else:
-        raise ShapeError(f"extract: expected rank 3 or 4, got shape {image.shape}")
+    if image.data.ndim != 4 or image.shape[1] != 3:
+        raise ShapeError(f"extract: expected images [N,3,H,W], got shape {image.shape}")
+    x = image
     h, w = x.shape[2], x.shape[3]
     div = config.size_divisor
     if h % div or w % div:
@@ -151,6 +141,6 @@ def extract(extractor: Extractor, image: Tensor, taps) -> dict:
         bias = Tensor(extractor.weights[f"{name}.bias"], dtype=dtype)
         x = ad.relu(ad.conv2d(x, kernel, bias, pad=1))
         if name in remaining:
-            out[name] = ad.reshape(x, x.shape[1:]) if single else x
+            out[name] = x
             remaining.discard(name)
     return {tap: out[tap] for tap in taps}

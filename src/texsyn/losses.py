@@ -33,38 +33,32 @@ class TextureTarget:
 
 
 def _flatten_spatial(features: Tensor) -> tuple:
-    """[C,H,W] or [N,C,H,W] features as [N,C,H*W], plus H*W and whether N was given."""
-    single = features.data.ndim == 3
-    if not single and features.data.ndim != 4:
-        raise ShapeError(f"gram: expected rank-3 or rank-4 features, got shape {features.shape}")
-    n, c, h, w = (1,) + features.shape if single else features.shape
-    return ad.reshape(features, (n, c, h * w)), h * w, single
-
-
-def _gram_of(flat: Tensor, positions: int, single: bool) -> Tensor:
-    g = ad.scale(ad.batch_gram(flat), 1.0 / positions)
-    return ad.reshape(g, g.shape[1:]) if single else g
+    """Features [N,C,H,W] as [N,C,H*W], plus H*W."""
+    if features.data.ndim != 4:
+        raise ShapeError(f"gram: expected features [N,C,H,W], got shape {features.shape}")
+    n, c, h, w = features.shape
+    return ad.reshape(features, (n, c, h * w)), h * w
 
 
 def gram(features: Tensor) -> Tensor:
-    """G[i,j] = (1/(H*W)) * sum_k F[i,k]*F[j,k] over spatial positions k.
+    """G[n,i,j] = (1/(H*W)) * sum_k F[n,i,k]*F[n,j,k] over spatial positions k.
 
-    Features [C,H,W] give [C,C]; a batch [N,C,H,W] gives one Gram per
-    sample, [N,C,C].
+    Features [N,C,H,W] give one Gram per sample, [N,C,C].
     """
-    return _gram_of(*_flatten_spatial(features))
+    flat, positions = _flatten_spatial(features)
+    return ad.scale(ad.batch_gram(flat), 1.0 / positions)
 
 
 def centered_gram(features: Tensor) -> Tensor:
     """Gram of features with each sample's scalar mean activation removed."""
-    flat, positions, single = _flatten_spatial(features)
-    return _gram_of(ad.center(flat), positions, single)
+    flat, positions = _flatten_spatial(features)
+    return ad.scale(ad.batch_gram(ad.center(flat)), 1.0 / positions)
 
 
 def texture_loss(target: TextureTarget, output_feats: dict) -> Tensor:
     """L1 distance between target and output centered Grams, summed over taps.
 
-    Batched features [N,C,H,W] add up the L1 distances of the N samples.
+    Features are [N,C,H,W]; the L1 distances of the N samples add up.
     """
     missing = [tap for tap in target.grams if tap not in output_feats]
     if missing:

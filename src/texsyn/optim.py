@@ -21,6 +21,8 @@ class Adam:
     ):
         self.params: list[Tensor] = list(params)
         self.lr = float(lr)
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0

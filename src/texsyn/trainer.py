@@ -99,6 +99,8 @@ class LoopConfig:
             )
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.iterations is not None and self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
     def total_iterations(self, m: int) -> int:
         return self.iterations if self.iterations is not None else 3 * m * self.K
@@ -169,8 +171,8 @@ def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS,
             raise ValueError(
                 f"exemplar {k} is {arr.shape[1]}x{arr.shape[2]}, expected {size}x{size}"
             )
-        feats = extract(extractor, Tensor(arr), taps)
-        grams = {tap: centered_gram(feats[tap]).data for tap in taps}
+        feats = extract(extractor, Tensor(arr[None]), taps)
+        grams = {tap: centered_gram(feats[tap]).data[0] for tap in taps}
         targets.append(TextureTarget(texture_id=k, grams=grams))
     return targets
 
@@ -290,7 +292,7 @@ def pixel_optimize(
     arr = init.data if isinstance(init, Tensor) else np.asarray(init)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ValueError(f"init image has shape {arr.shape}, expected (3,S,S)")
-    pixels = Tensor(arr.copy(), requires_grad=True)
+    pixels = Tensor(arr[None].copy(), requires_grad=True)
     optimizer = Adam([pixels], lr=lr)
     taps = tuple(target.grams)
     losses = []
@@ -303,4 +305,4 @@ def pixel_optimize(
         optimizer.step()
     feats = extract(extractor, pixels, taps)
     losses.append(float(texture_loss(target, feats).data))
-    return pixels.data.copy(), losses
+    return pixels.data[0].copy(), losses

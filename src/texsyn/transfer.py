@@ -29,7 +29,7 @@ from . import serialize
 from .autodiff import ShapeError, Tensor
 from .extractor import Extractor, ExtractorConfig, build_extractor, extract
 from .generator import SelectionUnit, weighted_selection
-from .losses import DIVERSITY_TAP, TEXTURE_TAPS, total_loss
+from .losses import TEXTURE_TAPS, total_loss
 from .optim import Adam
 from .serialize import LOSS_COLUMNS, LossLog, ParamSet
 from .trainer import LoopConfig, batch_losses, fit, precompute_targets, schedule_texture
@@ -158,22 +158,9 @@ def interpolate_styles(
     return transfer(params, content, selection, rng)
 
 
-def content_loss(output: Tensor, content: Tensor, extractor: Extractor, tap: str = DIVERSITY_TAP) -> Tensor:
-    """L1 distance of deep features, normalized by feature element count."""
-    if output.shape != content.shape:
-        raise ShapeError(
-            f"output {output.shape} and content {content.shape} sizes differ"
-        )
-    out_feat = extract(extractor, output, [tap])[tap]
-    ref_feat = extract(extractor, content, [tap])[tap]
-    return content_distance(out_feat, ref_feat)
-
-
 def content_distance(out_feat: Tensor, ref_feat: Tensor) -> Tensor:
-    """L1 distance of two feature maps over the element count.
-
-    On batches [N,C,H,W] this is the mean of the N per-sample distances.
-    """
+    """L1 distance of two [N,C,H,W] feature batches over the element count:
+    the mean of the N per-sample distances."""
     return ad.scale(ad.l1_norm(ad.sub(out_feat, ref_feat)), 1.0 / out_feat.size)
 
 
@@ -219,15 +206,15 @@ def train_transfer(
         taps = taps + (deep,)
 
     def step(style_id):
-        content = Tensor(content_arrays[int(content_rng.integers(len(content_arrays)))])
+        arr = content_arrays[int(content_rng.integers(len(content_arrays)))]
+        content = Tensor(arr)
         selection = weighted_selection(m, [(style_id, 1.0)], "style")
-        content_feat = extract(extractor, content, [deep])[deep].detach()
+        content_feat = extract(extractor, Tensor(arr[None]), [deep])[deep]
         l_style, l_diversity, maps = batch_losses(
             config, extractor, targets[style_id - 1],
             lambda n: transfer(params, content, selection, noise_rng, samples=n), taps, derangement_rng,
         )
-        reference = ad.repeat_batch(ad.reshape(content_feat, (1,) + content_feat.shape), config.batch_size)
-        l_content = content_distance(maps, reference)
+        l_content = content_distance(maps, ad.repeat_batch(content_feat, config.batch_size))
         loss = ad.add(
             total_loss(l_style, l_diversity, config.alpha, config.beta),
             ad.scale(l_content, config.content_weight),

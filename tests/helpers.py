@@ -96,7 +96,7 @@ def cloud_texture(size: int = 32, seed: int = 4, cycles=(1.0, 2.0)) -> np.ndarra
 
 
 def per_sample_diversity(maps: list, rng: np.random.Generator):
-    """The diversity loss over a list of [C,H,W] maps, one L1 term per pair:
+    """The diversity loss over a list of [1,C,H,W] maps, one L1 term per pair:
     the per-sample form that ``losses.diversity_loss`` batches."""
     n = len(maps)
     sigma = derangement(n, rng)
@@ -104,4 +104,4 @@ def per_sample_diversity(maps: list, rng: np.random.Generator):
     for i in range(n):
         term = ad.l1_norm(ad.sub(maps[i], maps[sigma[i]]))
         total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / (n * int(np.prod(maps[0].shape[1:]))))
+    return ad.scale(total, 1.0 / (n * int(np.prod(maps[0].shape[2:]))))

@@ -114,17 +114,17 @@ def test_criterion_01_gradient_integrity():
 def test_criterion_02_gram_oracles():
     rng = np.random.default_rng(0)
     for c, h, w in itertools.product(range(1, 9), repeat=3):
-        values = rng.standard_normal((c, h, w))
+        values = rng.standard_normal((1, c, h, w))
         t = Tensor(values, dtype=CHECK_DTYPE)
-        plain = gram(t).data
-        centered = centered_gram(t).data
-        assert np.max(np.abs(plain - gram_loops(values, center=False))) <= 1e-6
-        assert np.max(np.abs(centered - gram_loops(values, center=True))) <= 1e-6
+        plain = gram(t).data[0]
+        centered = centered_gram(t).data[0]
+        assert np.max(np.abs(plain - gram_loops(values[0], center=False))) <= 1e-6
+        assert np.max(np.abs(centered - gram_loops(values[0], center=True))) <= 1e-6
         shifted_then_grammed = gram(
             Tensor(values - values.mean(), dtype=CHECK_DTYPE)
-        ).data
+        ).data[0]
         assert np.max(np.abs(centered - shifted_then_grammed)) <= 1e-6
-    values = rng.standard_normal((8, 8, 8))
+    values = rng.standard_normal((1, 8, 8, 8))
     reference = centered_gram(Tensor(values, dtype=CHECK_DTYPE)).data
     for shift in (1.0, -7.5, 100.0, 1e3, -1e3):
         moved = centered_gram(Tensor(values + shift, dtype=CHECK_DTYPE)).data
@@ -234,7 +234,7 @@ def test_criterion_08_diversity_direction(desk_cache, desk_exemplars, desk_extra
         feats = [
             extract(
                 desk_extractor,
-                generate(params, one_hot(params.config, texture), nz),
+                generate(params, one_hot(params.config, texture), nz[None]),
                 ("conv4_2",),
             )["conv4_2"].data
             for nz in noises

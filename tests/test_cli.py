@@ -259,6 +259,46 @@ def test_bad_loss_tap_fails_before_training(workspace, monkeypatch, capsys, sett
     assert not (tmp / "synthesis.model").exists() and not (tmp / "loss.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--transfer", "--resize", "16"]], ids=["train", "transfer"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("lr=nan", "learning rate"),
+        ("lr=inf", "learning rate"),
+        ("lr=-0.001", "learning rate"),
+        ("iterations=-3", "iterations"),
+        ("iterations=0", "iterations"),
+    ],
+)
+def test_bad_learning_rate_or_iteration_count_fails_before_training(
+    workspace, monkeypatch, capsys, setting, message, extra
+):
+    import texsyn.trainer as trainer
+    import texsyn.transfer as tf
+
+    tmp, cfg = workspace
+    for module in (trainer, tf):
+        monkeypatch.setattr(module, "fit", lambda *a, **k: pytest.fail("training started"))
+    before = sorted(os.listdir(tmp))
+    section = "transfer" if extra else "train"
+    assert run("train", "--seed", "1", "--config", cfg, "--set", f"{section}.{setting}", *extra) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-0.001"])
+def test_oracle_bad_learning_rate_fails_before_optimizing(workspace, monkeypatch, capsys, lr):
+    import texsyn.trainer as trainer
+
+    tmp, cfg = workspace
+    monkeypatch.setattr(trainer, "texture_loss", lambda *a, **k: pytest.fail("optimization started"))
+    before = sorted(os.listdir(tmp))
+    target = str(tmp / "exemplar1.png")
+    assert run("oracle", "--seed", "1", "--config", cfg, "--target", target, "--lr", lr) == 1
+    assert "learning rate" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
 @pytest.mark.parametrize(
     "key, missing, extra",
     [

@@ -18,7 +18,7 @@ def ext():
 
 def rand_image(h=32, w=32, seed=0):
     g = np.random.default_rng(seed)
-    return g.uniform(-1, 1, size=(3, h, w)).astype(np.float32)
+    return g.uniform(-1, 1, size=(1, 3, h, w)).astype(np.float32)
 
 
 def test_same_seed_identical_weights():
@@ -38,24 +38,16 @@ def test_different_seed_different_weights():
 def test_tap_spatial_sizes(ext):
     feats = extract(ext, Tensor(rand_image()), ALL_TAPS)
     sizes = {name: feats[name].shape for name in ALL_TAPS}
-    assert sizes["conv1_1"] == (8, 32, 32)
-    assert sizes["conv2_1"] == (16, 16, 16)
-    assert sizes["conv3_1"] == (32, 8, 8)
-    assert sizes["conv4_1"] == (64, 4, 4)
-    assert sizes["conv4_2"] == (64, 4, 4)
-    assert sizes["conv5_1"] == (64, 2, 2)
-
-
-def test_batch_extraction_matches_single(ext):
-    imgs = np.stack([rand_image(seed=1), rand_image(seed=2)])
-    batched = extract(ext, Tensor(imgs), ["conv3_1"])["conv3_1"]
-    for i in range(2):
-        single = extract(ext, Tensor(imgs[i]), ["conv3_1"])["conv3_1"]
-        np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-5, atol=1e-6)
+    assert sizes["conv1_1"] == (1, 8, 32, 32)
+    assert sizes["conv2_1"] == (1, 16, 16, 16)
+    assert sizes["conv3_1"] == (1, 32, 8, 8)
+    assert sizes["conv4_1"] == (1, 64, 4, 4)
+    assert sizes["conv4_2"] == (1, 64, 4, 4)
+    assert sizes["conv5_1"] == (1, 64, 2, 2)
 
 
 def test_zero_image_zero_taps(ext):
-    feats = extract(ext, Tensor(np.zeros((3, 32, 32), dtype=np.float32)), ALL_TAPS)
+    feats = extract(ext, Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), ALL_TAPS)
     for name, t in feats.items():
         np.testing.assert_array_equal(t.data, np.zeros_like(t.data))
 
@@ -81,7 +73,11 @@ def test_indivisible_size_rejected(ext):
 
 def test_wrong_channel_count_rejected(ext):
     with pytest.raises(ShapeError):
-        extract(ext, Tensor(np.zeros((4, 32, 32), dtype=np.float32)), ["conv1_1"])
+        extract(ext, Tensor(np.zeros((1, 4, 32, 32), dtype=np.float32)), ["conv1_1"])
+    # rank 3 (one image without its batch axis) is rejected like any other rank
+    for shape in ((3, 32, 32), (1, 1, 3, 32, 32)):
+        with pytest.raises(ShapeError, match=r"\[N,3,H,W\]"):
+            extract(ext, Tensor(np.zeros(shape, dtype=np.float32)), ["conv1_1"])
 
 
 def test_weights_frozen_through_backward(ext):
@@ -97,7 +93,7 @@ def test_gradient_wrt_image_matches_finite_differences(ext):
     # small input keeps the finite-difference sweep cheap
     cfg = ExtractorConfig(stage_channels=(4, 6, 8), convs_per_stage=(1, 1, 1), seed=3)
     small = build_extractor(cfg)
-    img = np.random.default_rng(4).uniform(-1, 1, size=(3, 8, 8))
+    img = np.random.default_rng(4).uniform(-1, 1, size=(1, 3, 8, 8))
     t = Tensor(img, requires_grad=True, dtype=CHECK_DTYPE)
     loss = extract(small, t, ["conv3_1"])["conv3_1"].sum()
     loss.backward()

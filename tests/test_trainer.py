@@ -155,6 +155,20 @@ def test_adam_first_step_magnitude_is_lr():
     np.testing.assert_allclose(np.abs(p.data), 1e-3, rtol=1e-6)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+def test_adam_rejects_non_finite_or_negative_lr(lr):
+    p = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError, match="learning rate"):
+        Adam([p], lr=lr)
+
+
+def test_iteration_count_below_one_rejected():
+    for iterations in (0, -3):
+        with pytest.raises(ValueError, match="iterations"):
+            TrainConfig(seed=0, iterations=iterations)
+    assert TrainConfig(seed=0, iterations=None).total_iterations(2) == 3 * 2 * 100
+
+
 # ---------------------------------------------------------------------------
 # targets and pixel optimization
 
@@ -166,7 +180,7 @@ def test_precompute_targets_self_consistency():
     assert len(targets) == 2
     assert [t.texture_id for t in targets] == [1, 2]
     for img, target in zip(images, targets):
-        feats = extract(EXT, Tensor(img), taps)
+        feats = extract(EXT, Tensor(img[None]), taps)
         assert float(texture_loss(target, feats).data) < 1e-5
 
 
@@ -329,7 +343,7 @@ def reference_step(params, target, cfg, noise_rng, derangement_rng) -> tuple:
     tex_sum, div_feats = None, []
     for _ in range(cfg.batch_size):
         noise = sample_noise(params.config, noise_rng)
-        feats = extract(EXT, generate(params, selection, noise, use_selector=cfg.use_selector), taps)
+        feats = extract(EXT, generate(params, selection, noise[None], use_selector=cfg.use_selector), taps)
         term = texture_loss(target, feats)
         tex_sum = term if tex_sum is None else ad.add(tex_sum, term)
         if cfg.beta != 0.0:

@@ -5,14 +5,15 @@ import pytest
 
 from texsyn import rng as _rng
 from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
-from texsyn.extractor import ExtractorConfig, build_extractor
+from texsyn.extractor import ExtractorConfig, build_extractor, extract
 from texsyn.generator import SelectionUnit
+from texsyn.losses import DIVERSITY_TAP
 from texsyn.serialize import LossLog, WeightFormatError
 from texsyn.transfer import (
     LOG_COLUMNS,
     TransferConfig,
     TransferNetConfig,
-    content_loss,
+    content_distance,
     init_transfer_params,
     interpolate_styles,
     load_transfer_model,
@@ -159,30 +160,39 @@ def test_selection_length_checked(params):
 # content loss
 
 
+def content_loss(output, content, extractor=EXT, tap=DIVERSITY_TAP):
+    """The transfer step's content term for images [1,3,H,W]."""
+    return content_distance(extract(extractor, output, [tap])[tap], extract(extractor, content, [tap])[tap])
+
+
+def content_batch(seed=0, size=32):
+    return Tensor(content_image(seed, size).data[None])
+
+
 def test_content_loss_zero_on_identity():
-    c = content_image()
-    assert float(content_loss(c, c, EXT).data) == 0.0
+    c = content_batch()
+    assert float(content_loss(c, c).data) == 0.0
 
 
 def test_content_loss_symmetric():
-    a, b = content_image(1), content_image(2)
-    ab = float(content_loss(a, b, EXT).data)
-    ba = float(content_loss(b, a, EXT).data)
+    a, b = content_batch(1), content_batch(2)
+    ab = float(content_loss(a, b).data)
+    ba = float(content_loss(b, a).data)
     assert ab == pytest.approx(ba, rel=1e-6)
     assert ab > 0
 
 
 def test_content_loss_size_mismatch():
     with pytest.raises(ShapeError):
-        content_loss(content_image(size=32), content_image(size=48), EXT)
+        content_loss(content_batch(size=32), content_batch(size=48))
 
 
 def test_content_loss_gradient_vs_finite_differences():
     small_ext = build_extractor(
         ExtractorConfig(stage_channels=(4, 6), convs_per_stage=(1, 1), seed=1)
     )
-    ref = np.random.default_rng(1).uniform(-1, 1, (3, 8, 8))
-    img = np.random.default_rng(2).uniform(-1, 1, (3, 8, 8))
+    ref = np.random.default_rng(1).uniform(-1, 1, (1, 3, 8, 8))
+    img = np.random.default_rng(2).uniform(-1, 1, (1, 3, 8, 8))
 
     def value(x):
         return float(
@@ -221,16 +231,14 @@ def tiny_images(n, seed0, size=16):
 
 def test_gradients_reach_all_transfer_params():
     from texsyn import autodiff as ad
-    from texsyn.extractor import extract
     from texsyn.losses import texture_loss
     from texsyn.trainer import precompute_targets
 
     params = init_transfer_params(NET, seed=1)
     target = precompute_targets(EXT, tiny_images(1, 50, size=32), taps=("conv3_1",))[0]
-    c = content_image(9)
-    out = transfer(params, c, one_hot(1), np.random.default_rng(0))
+    out = transfer(params, content_image(9), one_hot(1), np.random.default_rng(0), samples=1)
     style_term = texture_loss(target, extract(EXT, out, ["conv3_1"]))
-    combined = ad.add(style_term, content_loss(out, c, EXT))
+    combined = ad.add(style_term, content_loss(out, content_batch(9)))
     params.zero_grad()
     combined.backward()
     for name, t in params.tensors.items():
@@ -272,13 +280,11 @@ def reference_first_iteration(styles, contents, cfg, net, dtype=np.float32) -> t
     trainer.batch_losses, with weights and contents of ``dtype``; returns
     (its log values, the stepped params holding their gradients)."""
     from texsyn import autodiff as ad
-    from texsyn.extractor import extract
     from texsyn.generator import weighted_selection
     from helpers import per_sample_diversity
     from texsyn.losses import texture_loss, total_loss
     from texsyn.optim import Adam
     from texsyn.trainer import precompute_targets
-    from texsyn.transfer import content_distance
 
     targets = precompute_targets(EXT, styles, taps=cfg.style_taps)
     params = as_dtype(init_transfer_params(net, cfg.seed), dtype)
@@ -291,11 +297,11 @@ def reference_first_iteration(styles, contents, cfg, net, dtype=np.float32) -> t
 
     content = Tensor(contents[int(content_rng.integers(len(contents)))], dtype=dtype)
     selection = weighted_selection(net.styles, [(1, 1.0)], "style")
-    content_feat = extract(EXT, content, [deep])[deep].detach()
+    content_feat = extract(EXT, Tensor(content.data[None]), [deep])[deep].detach()
     style_sum = content_sum = None
     div_feats = []
     for _ in range(n):
-        feats = extract(EXT, transfer(params, content, selection, noise_rng), taps)
+        feats = extract(EXT, transfer(params, content, selection, noise_rng, samples=1), taps)
         term = texture_loss(targets[0], feats)
         style_sum = term if style_sum is None else ad.add(style_sum, term)
         c_term = content_distance(feats[deep], content_feat)

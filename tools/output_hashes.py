@@ -14,7 +14,10 @@ on where OUT is:
   --log-every 2`` (its log in ``transfer_log.csv``);
 - ``synth --texture 2 --samples 3``, ``interpolate --from 1 --to 3
   --steps 4``, ``transfer --content exemplar2.png`` with ``--style 2``
-  and with ``--mix 1:0.3,2:0.7``, ``defaults`` and ``gradcheck --seed 0``.
+  and with ``--mix 1:0.3,2:0.7``;
+- ``oracle --target exemplar1.png --steps 20`` (noise init), and with
+  ``--init exemplar2.png --steps 5 --out o2.png --trace t2.csv``;
+- ``defaults`` and ``gradcheck --seed 0``.
 
 Prints ``<sha256>  <name>`` for every file under OUT and
 ``<sha256>  stdout: <command>`` for each command's output.  Two trees
@@ -52,6 +55,8 @@ COMMANDS = (
     ["interpolate", "--from", "1", "--to", "3", "--steps", "4"],
     ["transfer", "--content", "exemplar2.png", "--style", "2"],
     ["transfer", "--content", "exemplar2.png", "--mix", "1:0.3,2:0.7"],
+    ["oracle", "--target", "exemplar1.png", "--steps", "20"],
+    ["oracle", "--target", "exemplar1.png", "--init", "exemplar2.png", "--steps", "5", "--out", "o2.png", "--trace", "t2.csv"],
 )
 
 
