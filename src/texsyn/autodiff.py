@@ -96,10 +96,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def detach(self) -> "Tensor":
-        """A constant leaf sharing this tensor's value."""
-        return Tensor(self.data, _op="detach")
-
     def backward(self) -> None:
         backward(self)
 
@@ -253,8 +249,9 @@ def relu(x: Tensor) -> Tensor:
     return _result(np.where(mask, x.data, x.dtype.type(0)), (x,), grad_fn, "relu")
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    s = x.dtype.type(slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    """Leaky ReLU with the networks' negative slope, 0.2."""
+    s = x.dtype.type(0.2)
     mask = x.data >= 0
 
     def grad_fn(g):
@@ -385,18 +382,16 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
+def upsample_nearest(x: Tensor) -> Tensor:
+    """2x nearest-neighbour upsampling: each pixel becomes a 2x2 block."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample_nearest: expected rank 4, got shape {x.shape}")
-    if int(factor) < 1:
-        raise ShapeError(f"upsample_nearest: factor must be >= 1, got {factor}")
-    f = int(factor)
     n, c, h, w = x.shape
 
     def grad_fn(g):
-        return (g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)),)
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
-    out = x.data.repeat(f, axis=2).repeat(f, axis=3)
+    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
     return _result(out, (x,), grad_fn, "upsample_nearest")
 
 

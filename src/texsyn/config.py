@@ -1,11 +1,13 @@
 """Plain-text run configuration: ``section.key = value`` lines.
 
-One file configures a whole run.  Every key is registered with a parser,
-a default, and a one-line description; unknown keys are rejected so a
-typo can never silently fall back to a default.  ``#`` starts a comment,
-blank lines are ignored, and later assignments override earlier ones.
-Command-line ``--set section.key=value`` overrides go through the same
-parser.
+One file configures a whole run.  Every key is registered with a parser
+and a one-line description; unknown keys are rejected so a typo can never
+silently fall back to a default.  A ``synthesis``, ``extractor``,
+``train`` or ``transfer`` key takes its default from the config-class
+field of the same name; only ``paths`` keys hold their defaults here.
+``#`` starts a comment, blank lines are ignored, and later assignments
+override earlier ones.  Command-line ``--set section.key=value``
+overrides go through the same parser.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, fields
 
 from .extractor import ExtractorConfig
 from .generator import SynthesisConfig
-from .losses import DIVERSITY_TAP, TEXTURE_TAPS
 from .trainer import TrainConfig
 from .transfer import TransferConfig, TransferNetConfig
 
@@ -86,62 +87,60 @@ def _fmt_default(value) -> str:
     return str(value)
 
 
+# A key of these sections names a field of the section's config classes,
+# and that field's default is the key's default.
+_FIELD_DEFAULTS = {
+    f"{section}.{f.name}": f.default
+    for section, classes in (
+        ("synthesis", (SynthesisConfig,)),
+        ("extractor", (ExtractorConfig,)),
+        ("train", (TrainConfig,)),
+        ("transfer", (TransferConfig, TransferNetConfig)),
+    )
+    for cls in classes
+    for f in fields(cls)
+}
+
+_FIELD_KEYS = {
+    "synthesis.embed_dim": (_int, "texture embedding width"),
+    "synthesis.noise_dim": (_int, "noise vector length"),
+    "synthesis.base_size": (_int, "spatial size of the seed maps"),
+    "synthesis.scales": (_int, "number of 2x upsampling stages"),
+    "synthesis.widths": (_ints, "channel widths: seed stage then one per scale"),
+    "synthesis.guidance_channels": (_int, "selector guidance channels injected at each scale"),
+    "extractor.stage_channels": (_ints, "feature channels per extractor stage"),
+    "extractor.convs_per_stage": (_ints, "conv layers in each extractor stage"),
+    "extractor.seed": (_int, "seed for the frozen random extractor weights"),
+    "extractor.weight_file": (_opt_str, "load extractor weights from this file instead of seeding"),
+    "train.K": (_int, "iterations per curriculum phase"),
+    "train.iterations": (_opt_int, "total iterations; 'auto' = 3 * textures * K"),
+    "train.batch_size": (_int, "samples per iteration (diversity pairs)"),
+    "train.lr": (_float, "Adam learning rate"),
+    "train.alpha": (_float, "texture-loss coefficient"),
+    "train.beta": (_float, "diversity-loss coefficient (negative rewards variety)"),
+    "train.texture_taps": (_strs, "taps entering the texture loss"),
+    "train.diversity_tap": (_str, "tap entering the diversity loss"),
+    "train.mode": (_str, "schedule: 'incremental' or 'random'"),
+    "train.use_selector": (_bool, "feed selector guidance maps (false = ablation)"),
+    "train.checkpoint_every": (_int, "checkpoint interval; 0 disables"),
+    "train.checkpoint_dir": (_opt_str, "directory for checkpoints"),
+    "transfer.K": (_int, "iterations per style phase"),
+    "transfer.iterations": (_opt_int, "total iterations; 'auto' = 3 * styles * K"),
+    "transfer.batch_size": (_int, "stylizations per iteration"),
+    "transfer.lr": (_float, "Adam learning rate"),
+    "transfer.alpha": (_float, "style-loss coefficient"),
+    "transfer.beta": (_float, "diversity-loss coefficient"),
+    "transfer.content_weight": (_float, "content-loss coefficient"),
+    "transfer.style_taps": (_strs, "taps entering the style loss"),
+    "transfer.diversity_tap": (_str, "tap for diversity and content losses"),
+    "transfer.mode": (_str, "schedule: 'incremental' or 'random'"),
+    "transfer.enc_widths": (_ints, "encoder widths, one per stride-2 stage"),
+    "transfer.dec_widths": (_ints, "decoder widths: bottleneck conv then one per upsample"),
+    "transfer.noise_channels": (_int, "noise maps injected per style"),
+}
+
 REGISTRY: dict = {
-    "synthesis.embed_dim": Setting(_int, 8, "texture embedding width"),
-    "synthesis.noise_dim": Setting(_int, 5, "noise vector length"),
-    "synthesis.base_size": Setting(_int, 4, "spatial size of the seed maps"),
-    "synthesis.scales": Setting(_int, 3, "number of 2x upsampling stages"),
-    "synthesis.widths": Setting(
-        _ints, (32, 32, 24, 16), "channel widths: seed stage then one per scale"
-    ),
-    "synthesis.guidance_channels": Setting(
-        _int, 8, "selector guidance channels injected at each scale"
-    ),
-    "extractor.stage_channels": Setting(
-        _ints, (8, 16, 32, 64, 64), "feature channels per extractor stage"
-    ),
-    "extractor.convs_per_stage": Setting(
-        _ints, (1, 1, 1, 2, 1), "conv layers in each extractor stage"
-    ),
-    "extractor.seed": Setting(_int, 0, "seed for the frozen random extractor weights"),
-    "extractor.weight_file": Setting(
-        _opt_str, None, "load extractor weights from this file instead of seeding"
-    ),
-    "train.K": Setting(_int, 100, "iterations per curriculum phase"),
-    "train.iterations": Setting(
-        _opt_int, None, "total iterations; 'auto' = 3 * textures * K"
-    ),
-    "train.batch_size": Setting(_int, 4, "samples per iteration (diversity pairs)"),
-    "train.lr": Setting(_float, 1e-3, "Adam learning rate"),
-    "train.alpha": Setting(_float, 1.0, "texture-loss coefficient"),
-    "train.beta": Setting(_float, -1.0, "diversity-loss coefficient (negative rewards variety)"),
-    "train.texture_taps": Setting(_strs, TEXTURE_TAPS, "taps entering the texture loss"),
-    "train.diversity_tap": Setting(_str, DIVERSITY_TAP, "tap entering the diversity loss"),
-    "train.mode": Setting(_str, "incremental", "schedule: 'incremental' or 'random'"),
-    "train.use_selector": Setting(
-        _bool, True, "feed selector guidance maps (false = ablation)"
-    ),
-    "train.checkpoint_every": Setting(_int, 0, "checkpoint interval; 0 disables"),
-    "train.checkpoint_dir": Setting(_opt_str, None, "directory for checkpoints"),
-    "transfer.K": Setting(_int, 100, "iterations per style phase"),
-    "transfer.iterations": Setting(
-        _opt_int, None, "total iterations; 'auto' = 3 * styles * K"
-    ),
-    "transfer.batch_size": Setting(_int, 4, "stylizations per iteration"),
-    "transfer.lr": Setting(_float, 1e-3, "Adam learning rate"),
-    "transfer.alpha": Setting(_float, 1.0, "style-loss coefficient"),
-    "transfer.beta": Setting(_float, -1.0, "diversity-loss coefficient"),
-    "transfer.content_weight": Setting(_float, 1.0, "content-loss coefficient"),
-    "transfer.style_taps": Setting(_strs, TEXTURE_TAPS, "taps entering the style loss"),
-    "transfer.diversity_tap": Setting(
-        _str, DIVERSITY_TAP, "tap for diversity and content losses"
-    ),
-    "transfer.mode": Setting(_str, "incremental", "schedule: 'incremental' or 'random'"),
-    "transfer.enc_widths": Setting(_ints, (16, 32), "encoder widths, one per stride-2 stage"),
-    "transfer.dec_widths": Setting(
-        _ints, (32, 16, 16), "decoder widths: bottleneck conv then one per upsample"
-    ),
-    "transfer.noise_channels": Setting(_int, 1, "noise maps injected per style"),
+    **{key: Setting(parse, _FIELD_DEFAULTS[key], doc) for key, (parse, doc) in _FIELD_KEYS.items()},
     "paths.exemplars": Setting(_strs, (), "texture exemplar PNGs, one per texture id"),
     "paths.contents": Setting(_strs, (), "content PNGs for style transfer"),
     "paths.output_dir": Setting(_str, ".", "directory for generated images"),
@@ -195,10 +194,12 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8: byte {e.start} does not decode") from None
     return parse_config(text, source=path)
 
 

@@ -34,6 +34,11 @@ class ExtractorConfig:
                 f"{len(self.stage_channels)} stage widths but "
                 f"{len(self.convs_per_stage)} conv counts"
             )
+        if any(v < 1 for v in self.stage_channels + self.convs_per_stage):
+            raise ValueError(
+                f"stage_channels and convs_per_stage must be >= 1, got "
+                f"{self.stage_channels} and {self.convs_per_stage}"
+            )
 
     @property
     def stages(self) -> int:

@@ -40,6 +40,11 @@ class SynthesisConfig:
             raise ValueError(f"need at least one texture, got {self.textures}")
         if self.embed_dim < 1 or self.noise_dim < 1:
             raise ValueError("embed_dim and noise_dim must be >= 1")
+        if min(self.base_size, self.guidance_channels, *self.widths) < 1:
+            raise ValueError(
+                f"base_size, guidance_channels and widths must be >= 1, got {self.base_size}, "
+                f"{self.guidance_channels} and {self.widths}"
+            )
         if len(self.widths) != self.scales + 1:
             raise ValueError(
                 f"{self.scales} scales need {self.scales + 1} widths, "
@@ -137,15 +142,12 @@ def selector_guidance(params: ParamSet, embedding: Tensor) -> list:
     t = params.tensors
     x = ad.matmul(ad.reshape(embedding, (1, c.embed_dim)), t["selector.proj"])
     x = ad.add(x, ad.reshape(t["selector.proj_bias"], (1,) + t["selector.proj_bias"].shape))
-    x = ad.leaky_relu(
-        ad.reshape(x, (1, c.guidance_channels, c.base_size, c.base_size)), 0.2
-    )
+    x = ad.leaky_relu(ad.reshape(x, (1, c.guidance_channels, c.base_size, c.base_size)))
     maps = []
     for s in range(1, c.scales + 1):
-        x = ad.upsample_nearest(x, 2)
+        x = ad.upsample_nearest(x)
         x = ad.leaky_relu(
-            ad.conv2d(x, t[f"selector.scale{s}.kernel"], t[f"selector.scale{s}.bias"], pad=1),
-            0.2,
+            ad.conv2d(x, t[f"selector.scale{s}.kernel"], t[f"selector.scale{s}.bias"], pad=1)
         )
         maps.append(x)
     return maps
@@ -178,17 +180,17 @@ def generate(
     batch = noise.size // c.noise_dim
     e = embed(params, selection)
     x = ad.full_conv2d(seed_maps(noise, e), t["seed.kernel"])
-    x = ad.leaky_relu(x, 0.2)
+    x = ad.leaky_relu(x)
     guidance = selector_guidance(params, e) if use_selector else None
     for s in range(1, c.scales + 1):
-        x = ad.upsample_nearest(x, 2)
+        x = ad.upsample_nearest(x)
         g = (
             guidance[s - 1]
             if guidance
             else Tensor(np.zeros((1, c.guidance_channels) + x.shape[2:]), dtype=x.dtype)
         )
         x = ad.concat_channels(x, ad.repeat_batch(g, batch))
-        x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1), 0.2)
+        x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1))
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
     return ad.reshape(x, (3, c.output_size, c.output_size)) if single else x
 

@@ -13,8 +13,6 @@ deep features of each sample and a deranged partner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -22,14 +20,6 @@ from .autodiff import ShapeError, Tensor
 
 DIVERSITY_TAP = "conv4_2"
 TEXTURE_TAPS = ("conv1_1", "conv2_1", "conv3_1", "conv4_1", "conv5_1")
-
-
-@dataclass
-class TextureTarget:
-    """Precomputed centered Gram matrices of one exemplar image."""
-
-    texture_id: int  # 1-based
-    grams: dict  # tap name -> float ndarray [C, C]
 
 
 def _flatten_spatial(features: Tensor) -> tuple:
@@ -55,16 +45,17 @@ def centered_gram(features: Tensor) -> Tensor:
     return ad.scale(ad.batch_gram(ad.center(flat)), 1.0 / positions)
 
 
-def texture_loss(target: TextureTarget, output_feats: dict) -> Tensor:
+def texture_loss(target: dict, output_feats: dict) -> Tensor:
     """L1 distance between target and output centered Grams, summed over taps.
 
-    Features are [N,C,H,W]; the L1 distances of the N samples add up.
+    ``target`` maps each tap to an exemplar's centered Gram [C,C].  Features
+    are [N,C,H,W]; the L1 distances of the N samples add up.
     """
-    missing = [tap for tap in target.grams if tap not in output_feats]
+    missing = [tap for tap in target if tap not in output_feats]
     if missing:
         raise ValueError(f"output features missing taps {missing}")
     total = None
-    for tap, goal in target.grams.items():
+    for tap, goal in target.items():
         out_gram = centered_gram(output_feats[tap])
         goal_t = Tensor(np.broadcast_to(goal, out_gram.shape), dtype=out_gram.dtype)
         term = ad.l1_norm(ad.sub(out_gram, goal_t))
@@ -102,7 +93,7 @@ def diversity_loss(features: Tensor, rng: np.random.Generator) -> Tensor:
     return ad.scale(distance, 1.0 / (n * int(np.prod(features.shape[2:]))))
 
 
-def total_loss(texture: Tensor, diversity: Tensor, alpha: float = 1.0, beta: float = -1.0) -> Tensor:
+def total_loss(texture: Tensor, diversity: Tensor, alpha: float, beta: float) -> Tensor:
     """alpha * texture + beta * diversity; beta < 0 rewards diversity."""
     if texture.size != 1 or diversity.size != 1:
         raise ShapeError(

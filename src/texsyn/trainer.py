@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rng as _rng
 from .autodiff import NonFiniteError, Tensor
-from .extractor import ExtractorConfig, Extractor, build_extractor, extract
+from .extractor import Extractor, build_extractor, extract
 from .generator import (
     SynthesisConfig,
     generate,
@@ -38,7 +38,6 @@ from .generator import (
 from .losses import (
     DIVERSITY_TAP,
     TEXTURE_TAPS,
-    TextureTarget,
     centered_gram,
     diversity_loss,
     texture_loss,
@@ -160,8 +159,8 @@ def fit(
     return log
 
 
-def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS, size=None) -> list:
-    """Centered Grams of each exemplar at the texture taps, ids 1-based."""
+def precompute_targets(extractor: Extractor, exemplars: list, taps, size=None) -> list:
+    """One {tap: centered Gram [C,C]} per exemplar; texture k's is entry k-1."""
     targets = []
     for k, image in enumerate(exemplars, start=1):
         arr = image.data if isinstance(image, Tensor) else np.asarray(image)
@@ -172,15 +171,14 @@ def precompute_targets(extractor: Extractor, exemplars: list, taps=TEXTURE_TAPS,
                 f"exemplar {k} is {arr.shape[1]}x{arr.shape[2]}, expected {size}x{size}"
             )
         feats = extract(extractor, Tensor(arr[None]), taps)
-        grams = {tap: centered_gram(feats[tap]).data[0] for tap in taps}
-        targets.append(TextureTarget(texture_id=k, grams=grams))
+        targets.append({tap: centered_gram(feats[tap]).data[0] for tap in taps})
     return targets
 
 
 def batch_losses(
     config: LoopConfig,
     extractor: Extractor,
-    target: TextureTarget,
+    target: dict,
     render,
     taps,
     rng: np.random.Generator,
@@ -251,7 +249,7 @@ def train(
         )
     if extractor is None:
         # the loss network is a fixture, not part of the experiment seed
-        extractor = build_extractor(ExtractorConfig(seed=0))
+        extractor = build_extractor()
 
     targets = precompute_targets(
         extractor, exemplars, taps=config.texture_taps, size=synth_config.output_size
@@ -277,24 +275,23 @@ def train(
 
 
 def pixel_optimize(
-    extractor: Extractor,
-    target: TextureTarget,
-    init: np.ndarray,
-    steps: int = 500,
-    lr: float = 1e-2,
+    extractor: Extractor, target: dict, init: np.ndarray, steps: int, lr: float
 ) -> tuple:
-    """Minimize the texture loss over raw pixels; returns (image, losses).
+    """Minimize the texture loss against ``target`` ({tap: Gram}) over raw
+    pixels; returns (image, losses).
 
     The losses list has steps+1 entries: the loss at init, then after each
     update.  An exemplar's own pixels are a fixed point: the loss gradient
     there is exactly zero, so optimization leaves them untouched.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     arr = init.data if isinstance(init, Tensor) else np.asarray(init)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ValueError(f"init image has shape {arr.shape}, expected (3,S,S)")
     pixels = Tensor(arr[None].copy(), requires_grad=True)
     optimizer = Adam([pixels], lr=lr)
-    taps = tuple(target.grams)
+    taps = tuple(target)
     losses = []
     for _ in range(steps):
         feats = extract(extractor, pixels, taps)

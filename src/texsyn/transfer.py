@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import rng as _rng
 from . import serialize
 from .autodiff import ShapeError, Tensor
-from .extractor import Extractor, ExtractorConfig, build_extractor, extract
+from .extractor import Extractor, build_extractor, extract
 from .generator import SelectionUnit, weighted_selection
 from .losses import TEXTURE_TAPS, total_loss
 from .optim import Adam
@@ -54,6 +54,11 @@ class TransferNetConfig:
             )
         if self.noise_channels < 1:
             raise ValueError("noise_channels must be >= 1")
+        if any(v < 1 for v in self.enc_widths + self.dec_widths):
+            raise ValueError(
+                f"enc_widths and dec_widths must be >= 1, "
+                f"got {self.enc_widths} and {self.dec_widths}"
+            )
 
     @property
     def stride(self) -> int:
@@ -136,16 +141,12 @@ def transfer(
     )
     x = ad.reshape(content, (1,) + content.shape)
     for i in range(1, len(c.enc_widths) + 1):
-        x = ad.leaky_relu(
-            ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1), 0.2
-        )
+        x = ad.leaky_relu(ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1))
     x = ad.concat_channels(ad.repeat_batch(x, batch), Tensor(noise, dtype=x.dtype))
     for i in range(1, len(c.dec_widths) + 1):
         if i > 1:
-            x = ad.upsample_nearest(x, 2)
-        x = ad.leaky_relu(
-            ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1), 0.2
-        )
+            x = ad.upsample_nearest(x)
+        x = ad.leaky_relu(ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1))
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
     return ad.reshape(x, (3, h, w)) if samples is None else x
 
@@ -187,7 +188,7 @@ def train_transfer(
     if net_config.styles != m:
         raise ValueError(f"config expects {net_config.styles} styles, got {m}")
     if extractor is None:
-        extractor = build_extractor(ExtractorConfig(seed=0))
+        extractor = build_extractor()
 
     targets = precompute_targets(extractor, styles, taps=config.style_taps)
     params = init_transfer_params(net_config, config.seed)

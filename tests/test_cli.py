@@ -337,6 +337,37 @@ def untrained_models(tmp):
     save_transfer_model(init_transfer_params(net, 0), str(tmp / "transfer.model"))
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_oracle_step_count_below_one_writes_nothing(workspace, capsys, steps):
+    tmp, cfg = workspace
+    before = sorted(os.listdir(tmp))
+    target = str(tmp / "exemplar1.png")
+    assert run("oracle", "--seed", "1", "--config", cfg, "--target", target, "--steps", steps) == 1
+    assert "steps must be >= 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "synthesis.base_size=0",
+        "synthesis.guidance_channels=0",
+        "synthesis.widths=12,0,8",
+        "extractor.stage_channels=0,8,8",
+        "extractor.convs_per_stage=1,0,1",
+        "transfer.enc_widths=0,8",
+        "transfer.dec_widths=8,6,-1",
+    ],
+)
+def test_network_size_below_one_is_a_user_error_writing_nothing(workspace, capsys, setting):
+    tmp, cfg = workspace
+    extra = ["--transfer", "--resize", "16"] if setting.startswith("transfer.") else []
+    before = sorted(os.listdir(tmp))
+    assert run("train", "--seed", "1", "--config", cfg, "--set", setting, *extra) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
 @pytest.mark.parametrize("mix", ["1:nan", "1:inf", "1:-inf"])
 def test_non_finite_mix_weight_is_a_user_error(workspace, capsys, mix):
     tmp, cfg = workspace

@@ -1,12 +1,17 @@
 """Config parsing: typed values, typo safety, override precedence."""
 
 import dataclasses
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from texsyn.config import (
     REGISTRY,
     ConfigError,
+    RunConfig,
     apply_overrides,
     default_config,
     document_defaults,
@@ -100,6 +105,46 @@ def test_load_config_missing_file():
         load_config("/definitely/not/here.cfg")
 
 
+def test_load_config_non_utf8_names_the_file(tmp_path):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes("train.K = 3  # caf\xe9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(str(p)) + ".*UTF-8"):
+        load_config(str(p))
+
+
+# config text: lines that assign arbitrary values to registered keys, mixed
+# with arbitrary lines
+CONFIG_TEXT = st.lists(
+    st.one_of(
+        st.text(),
+        st.builds("{} = {}".format, st.sampled_from(sorted(REGISTRY)), st.text()),
+    )
+).map("\n".join)
+
+
+def parses_or_config_error(read) -> None:
+    try:
+        assert isinstance(read(), RunConfig)
+    except ConfigError:
+        pass
+
+
+@given(CONFIG_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_parse_config_returns_a_config_or_raises_config_error(text):
+    parses_or_config_error(lambda: parse_config(text))
+
+
+@given(st.one_of(st.binary(), CONFIG_TEXT.map(str.encode)))
+@settings(max_examples=300, deadline=None)
+def test_load_config_returns_a_config_or_raises_config_error(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = f"{directory}/run.cfg"
+        with open(path, "wb") as f:
+            f.write(data)
+        parses_or_config_error(lambda: load_config(path))
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("train.K = 11\npaths.output_dir = out\n")
@@ -163,8 +208,9 @@ def test_keys_nothing_reads_are_unknown(key):
 
 
 def test_registry_defaults_match_config_dataclasses():
-    # a config object built without a run config gets the same values as
-    # one built from the defaults, so the two copies of each default agree
+    # every key outside paths.* reads its default from the field of the
+    # same name in its section's config class, so a config object built
+    # without a run config gets the same values as one built from defaults
     sections = {
         "synthesis": [SynthesisConfig],
         "extractor": [ExtractorConfig],

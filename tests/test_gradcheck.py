@@ -88,7 +88,7 @@ def test_composite_checks_the_trainers_objective(monkeypatch):
     def wrong(*args):
         # the value still holds the diversity term, the gradient does not
         l_texture, l_diversity, maps = real(*args)
-        return l_texture, l_diversity.detach(), maps
+        return l_texture, Tensor(l_diversity.data), maps
 
     monkeypatch.setattr(trainer, "batch_losses", wrong)
     assert not check_composite(trials=1, seed=0).passed

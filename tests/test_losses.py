@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from texsyn import losses
 from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
 from texsyn.losses import (
-    TextureTarget,
     centered_gram,
     derangement,
     diversity_loss,
@@ -129,13 +128,7 @@ def test_gram_rejects_wrong_rank():
 
 
 def make_target(feats):
-    return TextureTarget(
-        texture_id=1,
-        grams={
-            tap: centered_gram(t.detach()).data[0]
-            for tap, t in feats.items()
-        },
-    )
+    return {tap: centered_gram(t).data[0] for tap, t in feats.items()}
 
 
 def test_texture_loss_zero_on_matching_stats():
@@ -152,16 +145,14 @@ def test_texture_loss_scalar_case():
     # 1x1 grams valued 3 and 5 under unit weight differ by 2
     f_out = Tensor(np.array([[[np.sqrt(5.0)], [-np.sqrt(5.0)]]]).reshape(1, 1, 2, 1), dtype=CHECK_DTYPE)
     f_tgt = Tensor(np.array([[[np.sqrt(3.0)], [-np.sqrt(3.0)]]]).reshape(1, 1, 2, 1), dtype=CHECK_DTYPE)
-    target = TextureTarget(texture_id=1, grams={"conv1_1": centered_gram(f_tgt).data[0]})
+    target = {"conv1_1": centered_gram(f_tgt).data[0]}
     loss = texture_loss(target, {"conv1_1": f_out})
     assert abs(float(loss.data) - 2.0) < 1e-9
 
 
 def test_texture_loss_on_a_batch_sums_the_samples():
     f = RNG.standard_normal((3, 4, 4, 4))
-    target = TextureTarget(
-        texture_id=1, grams={"conv1_1": centered_gram(Tensor(RNG.standard_normal((1, 4, 4, 4)), dtype=CHECK_DTYPE)).data[0]}
-    )
+    target = {"conv1_1": centered_gram(Tensor(RNG.standard_normal((1, 4, 4, 4)), dtype=CHECK_DTYPE)).data[0]}
     batched = float(texture_loss(target, {"conv1_1": Tensor(f, dtype=CHECK_DTYPE)}).data)
     singles = [float(texture_loss(target, {"conv1_1": Tensor(x[None], dtype=CHECK_DTYPE)}).data) for x in f]
     np.testing.assert_allclose(batched, sum(singles), rtol=1e-12)
@@ -177,7 +168,7 @@ def test_texture_loss_missing_tap_rejected():
 def test_texture_loss_gradient_vs_finite_differences():
     f0 = RNG.standard_normal((1, 3, 4, 4))
     goal = centered_gram(Tensor(RNG.standard_normal((1, 3, 4, 4)), dtype=CHECK_DTYPE)).data[0]
-    target = TextureTarget(texture_id=1, grams={"conv1_1": goal})
+    target = {"conv1_1": goal}
 
     def value(x):
         return float(texture_loss(target, {"conv1_1": Tensor(x, dtype=CHECK_DTYPE)}).data)
@@ -328,7 +319,7 @@ def test_diversity_gradients_flow_through_both_sides():
 def test_total_loss_coefficients():
     t = Tensor(np.array(5.0), dtype=CHECK_DTYPE)
     d = Tensor(np.array(2.0), dtype=CHECK_DTYPE)
-    assert float(total_loss(t, d).data) == 3.0  # defaults alpha=1, beta=-1
+    assert float(total_loss(t, d, alpha=1.0, beta=-1.0).data) == 3.0
     assert float(total_loss(t, d, alpha=1.0, beta=0.0).data) == 5.0
     assert float(total_loss(t, d, alpha=2.0, beta=0.5).data) == 11.0
 
@@ -355,4 +346,4 @@ def test_total_loss_rejects_nonscalars():
     v = Tensor(np.ones(3), dtype=CHECK_DTYPE)
     s = Tensor(np.array(1.0), dtype=CHECK_DTYPE)
     with pytest.raises(ShapeError):
-        total_loss(v, s)
+        total_loss(v, s, 1.0, -1.0)

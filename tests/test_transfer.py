@@ -297,7 +297,7 @@ def reference_first_iteration(styles, contents, cfg, net, dtype=np.float32) -> t
 
     content = Tensor(contents[int(content_rng.integers(len(contents)))], dtype=dtype)
     selection = weighted_selection(net.styles, [(1, 1.0)], "style")
-    content_feat = extract(EXT, Tensor(content.data[None]), [deep])[deep].detach()
+    content_feat = extract(EXT, Tensor(content.data[None]), [deep])[deep]
     style_sum = content_sum = None
     div_feats = []
     for _ in range(n):
