@@ -453,6 +453,26 @@ def _scatter(x: np.ndarray, kernel: np.ndarray, stride: int, size: tuple) -> np.
     return out
 
 
+def _columns(x: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Copy the windows of one sample x [C,H,W] into out [C·kh·kw, H'·W'].
+
+    Rows run channel-major, (C, kh, kw); columns are the output positions
+    (H', W') in row order, so the copy's inner loop walks rows of ``x``.
+    """
+    c, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    sc, sh, sw = x.strides
+    win = as_strided(
+        x,
+        shape=(c, kh, kw, oh, ow),
+        strides=(sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    np.copyto(out.reshape(c, kh, kw, oh, ow), win)
+    return out
+
+
 def conv2d(
     input: Tensor,
     kernel: Tensor,
@@ -460,7 +480,18 @@ def conv2d(
     stride: int = 1,
     pad: int = 0,
 ) -> Tensor:
-    """Cross-correlation of [N,C,H,W] with kernel [O,C,kh,kw] plus bias [O]."""
+    """Cross-correlation of [N,C,H,W] with kernel [O,C,kh,kw] plus bias [O].
+
+    Every pass is one GEMM per sample over a column matrix built by
+    ``_columns``: rows (C, kh, kw) channel-major, columns the H'·W' output
+    positions.  The forward multiplies ``kernel`` as [O, C·kh·kw] into the
+    sample's row of the output; the kernel gradient accumulates ``g[i]`` as
+    [O, H'·W'] times the columns' transpose; the input gradient correlates
+    ``g[i]``, zero-dilated by the stride and padded by kh-1 rows and kw-1
+    columns, at stride 1 with the flipped kernel as [C, O·kh·kw].  Columns
+    are built per sample, into one buffer per pass, and never cached:
+    backward rebuilds them.
+    """
     operands = (input, kernel) if bias is None else (input, kernel, bias)
     _same_dtype("conv2d", *operands)
     if input.data.ndim != 4 or kernel.data.ndim != 4:
@@ -492,8 +523,16 @@ def conv2d(
         if pad
         else input.data
     )
-    win = _windows(padded, kh, kw, stride)
-    out = _correlate(win, kernel.data)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    dtype = input.dtype
+    out = np.empty((n, o, oh, ow), dtype=dtype)
+    weights = kernel.data.reshape(o, -1)
+    cols = np.empty((c * kh * kw, oh * ow), dtype=dtype)
+    for i in range(n):
+        np.matmul(weights, _columns(padded[i], kh, kw, stride, cols), out=out[i].reshape(o, -1))
+    del cols
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
 
@@ -501,11 +540,30 @@ def conv2d(
         g = np.ascontiguousarray(g)
         grad_in = None
         if input.requires_grad:
-            gpad = _scatter(g, kernel.data, stride, padded.shape[2:])
-            grad_in = gpad[:, :, pad : pad + h, pad : pad + w] if pad else gpad
+            grad_in = np.empty((n, c, h, w), dtype=dtype)
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            # g[i] zero-dilated to (hp-kh+1, wp-kw+1), padded by kh-1 and kw-1;
+            # the zeros stay put while each sample overwrites the strided cells
+            gbuf = np.zeros((o, hp + kh - 1, wp + kw - 1), dtype=dtype)
+            cells = gbuf[
+                :,
+                kh - 1 : kh - 1 + stride * (oh - 1) + 1 : stride,
+                kw - 1 : kw - 1 + stride * (ow - 1) + 1 : stride,
+            ]
+            # only the windows that land on the unpadded input
+            region = gbuf[:, pad : pad + h + kh - 1, pad : pad + w + kw - 1]
+            cols = np.empty((o * kh * kw, h * w), dtype=dtype)
+            for i in range(n):
+                cells[...] = g[i]
+                np.matmul(flipped, _columns(region, kh, kw, 1, cols), out=grad_in[i].reshape(c, -1))
+            del cols
         grad_k = None
         if kernel.requires_grad:
-            grad_k = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+            grad_k = np.zeros((o, c * kh * kw), dtype=dtype)
+            cols = np.empty((c * kh * kw, oh * ow), dtype=dtype)
+            for i in range(n):
+                grad_k += g[i].reshape(o, -1) @ _columns(padded[i], kh, kw, stride, cols).T
+            grad_k = grad_k.reshape(o, c, kh, kw)
         if bias is None:
             return grad_in, grad_k
         grad_b = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None

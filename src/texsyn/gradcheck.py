@@ -131,7 +131,13 @@ def _primitive_cases(rng):
     }
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def check_primitives(trials: int, seed: int) -> list:
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     cases = _primitive_cases(rng)
     results = []
@@ -184,6 +190,7 @@ def _composite_setup(seed: int):
 
 
 def check_composite(trials: int, seed: int) -> CheckResult:
+    _require_trials(trials)
     worst = 0.0
     for t in range(trials):
         build, arrays = _composite_setup(seed + 10 * t)

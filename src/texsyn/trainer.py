@@ -114,6 +114,8 @@ class TrainConfig(LoopConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every and not self.checkpoint_dir:
             raise ValueError("checkpoint_every set but no checkpoint_dir")
 

@@ -1,16 +1,20 @@
 """Gradient and convolution checks against independent oracles.
 
-Convolutions are compared to a six-nested-loop reference; every gradient
-is compared to central finite differences computed in float64.
+Convolutions are compared to a six-nested-loop reference and to the
+earlier tensordot kernel; every gradient is compared to central finite
+differences computed in float64.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from texsyn import autodiff as ad
-from texsyn.autodiff import CHECK_DTYPE, NonFiniteError, ShapeError, Tensor
+from texsyn.autodiff import CHECK_DTYPE, TRAIN_DTYPE, NonFiniteError, ShapeError, Tensor
 
 
 def conv2d_loops(x, k, bias=None, stride=1, pad=0):
@@ -53,6 +57,43 @@ def full_conv2d_loops(x, k, stride=1):
                                     x[b, ci, y, z] * k[ci, f, u, v]
                                 )
     return out
+
+
+def conv2d_tensordot(x, k, g, stride=1, pad=0):
+    """The earlier conv2d kernel, kept as an oracle: (output, input grad, kernel grad).
+
+    A 6-D window view meets the kernel in one ``tensordot``; the input
+    gradient is one ``tensordot`` and one strided add per kernel tap.
+    """
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    sn, sc, sh, sw = xp.strides
+    win = as_strided(
+        xp,
+        shape=(n, c, oh, ow, kh, kw),
+        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        writeable=False,
+    )
+    out = np.tensordot(win, k, axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+    gpad = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            tap = np.tensordot(g, k[:, :, u, v], axes=([1], [0])).transpose(0, 3, 1, 2)
+            gpad[:, :, u : u + stride * (oh - 1) + 1 : stride, v : v + stride * (ow - 1) + 1 : stride] += tap
+    grad_k = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    return out, gpad[:, :, pad : pad + h, pad : pad + w], grad_k
+
+
+def conv2d_passes(x, k, g, stride=1, pad=0):
+    """conv2d's (output, input grad, kernel grad) for upstream gradient g."""
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    kt = Tensor(k, requires_grad=True, dtype=k.dtype)
+    y = ad.conv2d(xt, kt, stride=stride, pad=pad)
+    ad.mul(y, Tensor(g, dtype=g.dtype)).sum().backward()
+    return y.data, xt.grad, kt.grad
 
 
 def numeric_grad(fn, arrays, index, h=1e-4):
@@ -129,6 +170,67 @@ def test_conv2d_matches_loop_oracle(n, c, o, h, w, kh, kw, stride, pad):
     want = conv2d_loops(x, k, b, stride=stride, pad=pad)
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def conv_shapes(draw):
+    """(x, kernel, output shapes, stride, pad) with the kernel inside the padded input."""
+    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * pad), kh + 6))
+    w = draw(st.integers(max(1, kw - 2 * pad), kw + 6))
+    out = (n, o, (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1)
+    return (n, c, h, w), (o, c, kh, kw), out, stride, pad
+
+
+@given(conv_shapes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv2d_passes_match_oracles(shapes, seed):
+    """Forward, input and kernel gradient equal the loop and tensordot oracles."""
+    xs, ks, ys, stride, pad = shapes
+    g = np.random.default_rng(seed)
+    x, k, up = g.standard_normal(xs), g.standard_normal(ks), g.standard_normal(ys)
+    got = conv2d_passes(x, k, up, stride=stride, pad=pad)
+    want = conv2d_tensordot(x, k, up, stride=stride, pad=pad)
+    np.testing.assert_allclose(got[0], conv2d_loops(x, k, stride=stride, pad=pad), rtol=1e-10, atol=1e-10)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
+
+
+@given(conv_shapes(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_conv2d_batch_rows_equal_single_sample_calls(shapes, dtype, seed):
+    """Row i of a batched forward and input gradient is the N=1 call, bit for bit."""
+    xs, ks, ys, stride, pad = shapes
+    g = np.random.default_rng(seed)
+    x, k, up = (g.standard_normal(s).astype(dtype) for s in (xs, ks, ys))
+    out, grad_in, _ = conv2d_passes(x, k, up, stride=stride, pad=pad)
+    for i in range(xs[0]):
+        one_out, one_grad_in, _ = conv2d_passes(x[i : i + 1], k, up[i : i + 1], stride=stride, pad=pad)
+        np.testing.assert_array_equal(out[i : i + 1], one_out)
+        np.testing.assert_array_equal(grad_in[i : i + 1], one_grad_in)
+
+
+def test_conv2d_backward_transient_memory_stays_below_batch_columns():
+    """One backward at [4,16,64,64] (3x3, pad 1) never holds the whole batch's columns."""
+    g = np.random.default_rng(0)
+    x = Tensor(g.standard_normal((4, 16, 64, 64)), requires_grad=True, dtype=TRAIN_DTYPE)
+    k = Tensor(0.1 * g.standard_normal((16, 16, 3, 3)), requires_grad=True, dtype=TRAIN_DTYPE)
+    b = Tensor(np.zeros(16), requires_grad=True, dtype=TRAIN_DTYPE)
+    y = ad.conv2d(x, k, b, pad=1)
+    up = np.ones(y.shape, dtype=y.dtype)
+    batch_columns = 4 * 16 * 9 * 64 * 64 * y.dtype.itemsize  # [C·kh·kw, N·H·W]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = y._backward(up)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [gr.shape for gr in grads] == [x.shape, k.shape, b.shape]
+    assert peak < batch_columns, f"backward peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(
@@ -262,9 +364,18 @@ def test_grad_concat_upsample_pool():
     check_grads(lambda x: ad.avg_pool2(x).sum(), [arr(1, 2, 4, 4)])
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-def test_grad_conv2d(stride, pad):
-    x, k, b = arr(2, 2, 5, 5), arr(3, 2, 3, 3), arr(3)
+@pytest.mark.parametrize(
+    "stride,pad,size",
+    [
+        pytest.param(1, 0, 5, id="1-0"),
+        pytest.param(1, 1, 5, id="1-1"),
+        pytest.param(2, 1, 5, id="2-1"),
+        # 6 pads to 8; the last stride-2 window ends on row 6, so row 7 is unreached
+        pytest.param(2, 1, 6, id="2-1-6x6"),
+    ],
+)
+def test_grad_conv2d(stride, pad, size):
+    x, k, b = arr(2, 2, size, size), arr(3, 2, 3, 3), arr(3)
     check_grads(
         lambda xx, kk, bb: ad.conv2d(xx, kk, bb, stride=stride, pad=pad).sum(),
         [x, k, b],

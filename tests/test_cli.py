@@ -176,6 +176,26 @@ def test_gradcheck_command_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_gradcheck_trial_count_below_one_is_a_user_error(capsys, trials):
+    assert run("gradcheck", "--seed", "0", "--trials", trials) == 1
+    captured = capsys.readouterr()
+    assert "trials must be >= 1" in captured.err
+    assert "passed" not in captured.out
+
+
+def test_negative_checkpoint_interval_is_a_user_error_writing_nothing(workspace, capsys):
+    tmp, cfg = workspace
+    before = sorted(os.listdir(tmp))
+    code = run(
+        "train", "--seed", "1", "--config", cfg,
+        "--set", "train.checkpoint_every=-1", "--set", f"train.checkpoint_dir={tmp}",
+    )
+    assert code == 1
+    assert "checkpoint_every must be >= 0" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
 def test_defaults_output_is_valid_config(tmp_path, capsys):
     assert run("defaults") == 0
     text = capsys.readouterr().out
