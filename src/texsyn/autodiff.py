@@ -415,44 +415,6 @@ def avg_pool2(x: Tensor) -> Tensor:
 # convolutions
 
 
-def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Sliding cross-correlation windows [N, C, H', W', kh, kw] (a view)."""
-    n, c, h, w = padded.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = padded.strides
-    return as_strided(
-        padded,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-
-
-def _correlate(win: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Windows [N,C,H',W',kh,kw] against kernel [O,C,kh,kw]: [N,O,H',W']."""
-    out = np.tensordot(win, kernel, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-
-def _scatter(x: np.ndarray, kernel: np.ndarray, stride: int, size: tuple) -> np.ndarray:
-    """The adjoint of ``_correlate``: x [N,O,h,w] through kernel [O,C,kh,kw] to [N,C,*size]."""
-    n, _, h, w = x.shape
-    _, c, kh, kw = kernel.shape
-    out = np.zeros((n, c) + size, dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            # [n,h,w,c] contribution of kernel tap (u, v)
-            t = np.tensordot(x, kernel[:, :, u, v], axes=([1], [0]))
-            out[
-                :,
-                :,
-                u : u + stride * (h - 1) + 1 : stride,
-                v : v + stride * (w - 1) + 1 : stride,
-            ] += t.transpose(0, 3, 1, 2)
-    return out
-
-
 def _columns(x: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Copy the windows of one sample x [C,H,W] into out [C·kh·kw, H'·W'].
 
@@ -572,12 +534,13 @@ def conv2d(
     return _result(out, operands, grad_fn, "conv2d")
 
 
-def full_conv2d(input: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
-    """Transposed convolution: the adjoint of conv2d with the same kernel.
+def full_conv2d(input: Tensor, kernel: Tensor) -> Tensor:
+    """Transposed convolution of 1x1 maps: [N,I,1,1] through [I,O,kh,kw] to [N,O,kh,kw].
 
-    ``input`` is [N,I,h,w] and ``kernel`` [I,O,kh,kw]; the output spatial size
-    is (h-1)*stride + kh.  In the generator this expands 1x1 seed maps into
-    the first spatial representation.
+    It expands the generator's 1x1 seed maps into the first spatial
+    representation.  With a 1x1 input the adjoint of conv2d is one GEMM,
+    ``input`` as [N, I] times ``kernel`` as [I, O·kh·kw], and so is each
+    gradient.  Any other input size raises ShapeError.
     """
     _same_dtype("full_conv2d", input, kernel)
     if input.data.ndim != 4 or kernel.data.ndim != 4:
@@ -590,19 +553,15 @@ def full_conv2d(input: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(
             f"full_conv2d: kernel expects {ik} input channels but input has {i}"
         )
-    stride = int(stride)
-    if stride < 1:
-        raise ShapeError(f"full_conv2d: stride must be >= 1, got {stride}")
-
-    size = ((h - 1) * stride + kh, (w - 1) * stride + kw)
-    out = _scatter(input.data, kernel.data, stride, size)
+    if (h, w) != (1, 1):
+        raise ShapeError(f"full_conv2d: expected a 1x1 input, got {h}x{w}")
+    x = input.data.reshape(n, i)
+    weights = kernel.data.reshape(i, -1)
 
     def grad_fn(g):
-        win = _windows(np.ascontiguousarray(g), kh, kw, stride)
-        grad_in = _correlate(win, kernel.data) if input.requires_grad else None
-        grad_k = None
-        if kernel.requires_grad:
-            grad_k = np.tensordot(input.data, win, axes=([0, 2, 3], [0, 2, 3]))
+        g = g.reshape(n, -1)
+        grad_in = (g @ weights.T).reshape(input.shape) if input.requires_grad else None
+        grad_k = (x.T @ g).reshape(kernel.shape) if kernel.requires_grad else None
         return grad_in, grad_k
 
-    return _result(out, (input, kernel), grad_fn, "full_conv2d")
+    return _result((x @ weights).reshape(n, o, kh, kw), (input, kernel), grad_fn, "full_conv2d")

@@ -126,7 +126,7 @@ def _primitive_cases(rng):
         ),
         "full_conv2d": lambda: (
             lambda x, k: ad.full_conv2d(x, k).sum(),
-            [arr(1, 3, 2, 2), arr(3, 2, 4, 4)],
+            [arr(4, 3, 1, 1), arr(3, 2, 4, 4)],
         ),
     }
 

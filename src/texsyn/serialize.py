@@ -110,8 +110,8 @@ def load_checked(path: str, layout, header: str | None = None) -> tuple:
 
     ``layout`` receives the config array stored under ``header`` (None for
     a file without one) and returns (config, {name: shape}).  Returns
-    (config, {name: array}) in layout order; a missing, extra or misshapen
-    tensor raises WeightFormatError naming it.
+    (config, {name: array}) in layout order; a missing, extra, misshapen or
+    non-finite tensor raises WeightFormatError naming it.
     """
     tensors = load_tensors(path)
     if header is not None and header not in tensors:
@@ -124,6 +124,8 @@ def load_checked(path: str, layout, header: str | None = None) -> tuple:
             raise WeightFormatError(
                 f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise WeightFormatError(f"tensor '{name}' holds NaN or inf values")
     extra = set(tensors) - set(expected)
     if extra:
         raise WeightFormatError(f"unexpected tensors {sorted(extra)}")
@@ -213,7 +215,10 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         # Python ints cannot wrap; take() bounds the size by the bytes left
         data = take(4 * math.prod(dims), f"data of '{name}'")
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+        except ValueError as e:  # more than 64 dims, or a size numpy cannot index
+            raise WeightFormatError(f"tensor '{name}' has dims numpy cannot hold: {e}") from None
     if off != len(blob):
         raise WeightFormatError(f"{len(blob) - off} trailing bytes at offset {off}")
     return tensors

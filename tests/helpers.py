@@ -1,4 +1,5 @@
-"""Deterministic synthetic exemplar textures for tests, and one loss oracle.
+"""Deterministic synthetic exemplar textures for tests, one loss oracle,
+and a byte-mutation strategy for fuzzing file loaders.
 
 Three sinusoidal gratings from a single pattern family, differing in
 orientation and per-channel phase palette.  Sharing one family makes the
@@ -8,6 +9,7 @@ Desk-scale stand-ins for photographic texture swatches.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from texsyn import autodiff as ad
 from texsyn.images import ImageBuffer, save_image
@@ -105,3 +107,18 @@ def per_sample_diversity(maps: list, rng: np.random.Generator):
         term = ad.l1_norm(ad.sub(maps[i], maps[sigma[i]]))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / (n * int(np.prod(maps[0].shape[2:]))))
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """``valid`` after one to three overwrites, insertions or truncations."""
+    blob = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("overwrite", "insert", "truncate")))
+        at = draw(st.integers(0, len(blob)))
+        if kind == "truncate":
+            del blob[at:]
+            continue
+        chunk = draw(st.binary(min_size=1, max_size=8))
+        blob[at : at + (len(chunk) if kind == "overwrite" else 0)] = chunk
+    return bytes(blob)

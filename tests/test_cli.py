@@ -421,6 +421,52 @@ def test_non_finite_model_header_is_a_user_error(workspace, capsys, value, model
     assert f"malformed '{header}' config header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ("synthesis.model", ["synth", "--texture", "1"]),
+        ("transfer.model", ["transfer", "--style", "1", "--content", "exemplar1.png"]),
+    ],
+    ids=["synth", "transfer"],
+)
+def test_non_finite_model_weight_is_a_user_error_writing_nothing(workspace, capsys, model, argv):
+    from texsyn import serialize
+
+    tmp, cfg = workspace
+    untrained_models(tmp)
+    path = str(tmp / model)
+    tensors = serialize.load_tensors(path)
+    bias = next(name for name in tensors if name.endswith(".bias"))
+    tensors[bias][0] = np.nan
+    serialize.save_tensors(path, tensors)
+    before = sorted(os.listdir(tmp))
+    argv = [str(tmp / a) if a.endswith(".png") else a for a in argv]
+    assert run(argv[0], "--seed", "1", "--config", cfg, *argv[1:]) == 1
+    assert f"tensor '{bias}' holds NaN or inf" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
+def test_non_finite_extractor_weight_file_is_a_user_error_writing_nothing(workspace, capsys):
+    from texsyn import config, serialize
+    from texsyn.extractor import build_extractor
+
+    tmp, cfg = workspace
+    weights = dict(build_extractor(config.extractor_config(config.parse_config(TINY_CFG))).weights)
+    weights["conv2_1.kernel"] = weights["conv2_1.kernel"].copy()
+    weights["conv2_1.kernel"][0, 0, 1, 1] = np.inf
+    path = str(tmp / "extractor.bin")
+    serialize.save_tensors(path, weights)
+    before = sorted(os.listdir(tmp))
+    target = str(tmp / "exemplar1.png")
+    code = run(
+        "oracle", "--seed", "1", "--config", cfg, "--target", target, "--steps", "2",
+        "--set", f"extractor.weight_file={path}",
+    )
+    assert code == 1
+    assert "tensor 'conv2_1.kernel' holds NaN or inf" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
 @pytest.mark.parametrize("extra", [[], ["--transfer", "--resize", "16"]])
 def test_non_finite_training_exits_2(workspace, capsys, extra):
     tmp, cfg = workspace

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mutated
 from texsyn.images import (
     ImageBuffer,
     PngError,
@@ -313,6 +314,38 @@ def test_unknown_filter_type_names_its_row(tmp_path):
     with pytest.raises(PngError, match="filter type 5 in row 1") as info:
         load_image(path)
     assert info.value.offset == 7
+
+
+VALID_PNG = reference_png(
+    np.random.default_rng(0).integers(0, 256, (4, 5, 3), dtype=np.uint8), color_type=2, filter_type=4
+)
+
+
+def with_fixed_crcs(blob: bytes) -> bytes:
+    """``blob`` with the CRC of every whole chunk recomputed, so that a
+    mutation reaches the checks behind the CRC check."""
+    out = bytearray(blob)
+    off = 8
+    while off + 8 <= len(out):
+        (length,) = struct.unpack(">I", out[off : off + 4])
+        end = off + 8 + length
+        if end + 4 > len(out):
+            break
+        out[end : end + 4] = struct.pack(">I", zlib.crc32(out[off + 4 : end]))
+        off = end + 4
+    return bytes(out)
+
+
+@given(mutated(VALID_PNG), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mutated_pngs_load_or_raise_png_error(tmp_path_factory, blob, fix_crcs):
+    path = tmp_path_factory.getbasetemp() / "fuzz.png"
+    path.write_bytes(with_fixed_crcs(blob) if fix_crcs else blob)
+    try:
+        image = load_image(str(path))
+    except PngError:
+        return
+    assert image.data.dtype == np.uint8 and image.data.ndim == 3
 
 
 # ---------------------------------------------------------------------------

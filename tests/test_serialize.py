@@ -5,7 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from helpers import mutated
 from texsyn import serialize
 from texsyn.serialize import (
     LOSS_COLUMNS,
@@ -128,14 +130,39 @@ def tensor_file(*entries) -> bytes:
         ([(b"big", (2**31, 2**31, 4), b"")], "truncated file: need 73786976294838206464 bytes"),
         ([(b"\xff\xfe", (1,), b"\0" * 4)], "not UTF-8"),
         ([(b"a", (1,), b"\0" * 4), (b"a", (1,), b"\0" * 4)], "'a' stored twice"),
+        # numpy holds at most 64 dims
+        ([(b"deep", (1,) * 65, b"\0" * 4)], "'deep' has dims numpy cannot hold"),
+        # zero elements, but the other dims overflow numpy's index type
+        ([(b"wide", (2**32 - 1, 2**32 - 1, 0), b"")], "'wide' has dims numpy cannot hold"),
     ],
-    ids=["wrapped-size", "non-utf8-name", "repeated-name"],
+    ids=["wrapped-size", "non-utf8-name", "repeated-name", "rank-65", "unindexable-zero-size"],
 )
 def test_malformed_tensor_entries_raise_weight_format_error(tmp_path, entries, message):
     path = tmp_path / "w.bin"
     path.write_bytes(tensor_file(*entries))
     with pytest.raises(WeightFormatError, match=message):
         load_tensors(str(path))
+
+
+VALID_TENSOR_FILE = tensor_file(
+    (b"net.config", (3,), struct.pack("<3f", 2.0, 3.0, 4.0)),
+    (b"a.kernel", (2, 1, 1, 2), struct.pack("<4f", 0.5, -1.0, 2.0, 0.25)),
+    (b"", (), struct.pack("<f", 1.5)),
+)
+
+
+@given(mutated(VALID_TENSOR_FILE))
+@example(tensor_file((b"deep", (1,) * 65, b"\0" * 4)))
+@example(tensor_file((b"wide", (2**32 - 1, 2**32 - 1, 0), b"")))
+@settings(max_examples=300, deadline=None)
+def test_mutated_tensor_files_load_or_raise_weight_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(blob)
+    try:
+        tensors = load_tensors(str(path))
+    except WeightFormatError:
+        return
+    assert all(a.dtype == np.float32 for a in tensors.values())
 
 
 def test_header_ints_reads_integral_values():
@@ -184,6 +211,8 @@ def test_load_checked_returns_layout_order_and_config(tmp_path):
         (lambda t: t.update(extra=np.zeros(1, np.float32)), "unexpected tensors"),
         (lambda t: t.update(alpha=np.zeros((4, 3), np.float32)), r"'alpha' has shape \(4, 3\)"),
         (lambda t: t.pop("head"), "lacks its 'head' config header"),
+        (lambda t: t.update(alpha=np.full((3, 4), np.nan, np.float32)), "'alpha' holds NaN or inf"),
+        (lambda t: t.update(gamma=np.array(-np.inf, np.float32)), "'gamma' holds NaN or inf"),
     ],
 )
 def test_load_checked_rejects_other_layouts(tmp_path, change, message):
