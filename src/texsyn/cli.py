@@ -131,12 +131,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_images(run: cfg.RunConfig, params, jobs: list) -> list:
-    """Generate and save one image per (file name, selection, noise) job; returns the paths."""
+def _write_images(run: cfg.RunConfig, names: list, images) -> list:
+    """Save each [3,S,S] image in [-1,1] under its file name; returns the paths."""
     written = []
-    for name, selection, noise in jobs:
+    for name, image in zip(names, images):
         path = _out_path(run, name)
-        save_image(denormalize(generate(params, selection, noise)), path)
+        save_image(denormalize(image), path)
         written.append(path)
     return written
 
@@ -148,11 +148,10 @@ def cmd_synth(args) -> int:
     params = load_model(run.get("paths.model"))
     selection = one_hot(params.config, args.texture)
     noise_rng = stream(args.seed, "noise")
-    jobs = [
-        (f"tex{args.texture}_s{args.seed}_{k}.png", selection, sample_noise(params.config, noise_rng))
-        for k in range(args.samples)
-    ]
-    written = _write_images(run, params, jobs)
+    noise = np.stack([sample_noise(params.config, noise_rng) for _ in range(args.samples)])
+    names = [f"tex{args.texture}_s{args.seed}_{k}.png" for k in range(args.samples)]
+    # one batch: its rows equal single-sample calls bit for bit
+    written = _write_images(run, names, generate(params, selection, noise).data)
     print(f"wrote {len(written)} images: {', '.join(written)}")
     return 0
 
@@ -168,15 +167,16 @@ def cmd_interpolate(args) -> int:
     # One shared noise draw: the first vector of the synth stream, so the
     # endpoint images are bit-identical to `synth --texture {a,b}` sample 0.
     noise = sample_noise(params.config, stream(args.seed, "noise"))
-    jobs = []
+    images = []
     for i in range(steps):
         weight = 1.0 - i / (steps - 1)
         bits = [(a, weight), (b, 1.0 - weight)]
         selection = weighted_selection(
             params.config.textures, [(t, w) for t, w in bits if w > 0.0]
         )
-        jobs.append((f"interp{a}to{b}_s{args.seed}_{i}.png", selection, noise))
-    written = _write_images(run, params, jobs)
+        images.append(generate(params, selection, noise))
+    names = [f"interp{a}to{b}_s{args.seed}_{i}.png" for i in range(steps)]
+    written = _write_images(run, names, images)
     print(f"wrote {steps} images sweeping texture {a} to {b}: {written[0]} ...")
     return 0
 

@@ -240,4 +240,5 @@ def save_model(params: ParamSet, path: str) -> None:
 
 
 def load_model(path: str) -> ParamSet:
-    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY))
+    """A checked model file; its tensors take no gradient, so forward passes build no graph."""
+    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY), requires_grad=False)

@@ -63,11 +63,11 @@ class ParamSet:
     """Learnable tensors keyed by stable names, plus the config that shaped them."""
 
     config: object
-    tensors: dict = field(repr=False)  # name -> Tensor (requires_grad)
+    tensors: dict = field(repr=False)  # name -> Tensor
 
     @classmethod
-    def of(cls, config, arrays: dict) -> "ParamSet":
-        return cls(config, {n: Tensor(a, requires_grad=True) for n, a in arrays.items()})
+    def of(cls, config, arrays: dict, requires_grad: bool = True) -> "ParamSet":
+        return cls(config, {n: Tensor(a, requires_grad=requires_grad) for n, a in arrays.items()})
 
     @classmethod
     def init(

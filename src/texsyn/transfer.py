@@ -206,11 +206,13 @@ def train_transfer(
     if deep not in taps:
         taps = taps + (deep,)
 
+    # the contents are constant, so their features are extracted once per run
+    content_feats = [extract(extractor, Tensor(arr[None]), [deep])[deep] for arr in content_arrays]
+
     def step(style_id):
-        arr = content_arrays[int(content_rng.integers(len(content_arrays)))]
-        content = Tensor(arr)
+        k = int(content_rng.integers(len(content_arrays)))
+        content, content_feat = Tensor(content_arrays[k]), content_feats[k]
         selection = weighted_selection(m, [(style_id, 1.0)], "style")
-        content_feat = extract(extractor, Tensor(arr[None]), [deep])[deep]
         l_style, l_diversity, maps = batch_losses(
             config, extractor, targets[style_id - 1],
             lambda n: transfer(params, content, selection, noise_rng, samples=n), taps, derangement_rng,
@@ -257,4 +259,5 @@ def _layout(arr: np.ndarray) -> tuple:
 
 
 def load_transfer_model(path: str) -> ParamSet:
-    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY))
+    """A checked model file; its tensors take no gradient, so forward passes build no graph."""
+    return ParamSet.of(*serialize.load_checked(path, _layout, _CONFIG_KEY), requires_grad=False)

@@ -1,8 +1,9 @@
 """Gradient and convolution checks against independent oracles.
 
 Convolutions are compared to a six-nested-loop reference and to the
-earlier tensordot kernel; every gradient is compared to central finite
-differences computed in float64.
+earlier tensordot kernel; the ReLUs and the 2x2 ops to their earlier
+select, reshape-reduction and repeat forms, bit for bit; every gradient is
+compared to central finite differences computed in float64.
 """
 
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import as_strided
 
 from texsyn import autodiff as ad
@@ -275,6 +277,95 @@ def test_avg_pool2_forward():
     out = ad.avg_pool2(Tensor(x, dtype=CHECK_DTYPE))
     want = np.array([[2.5, 4.5], [10.5, 12.5]])
     np.testing.assert_array_equal(out.data[0, 0], want)
+
+
+# The select, reshape-reduction and repeat forms these ops had before they
+# became ufuncs and strided slices: forward of x, input gradient of x and g.
+def blocks(x):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2)
+
+
+def repeat2(x):
+    return x.repeat(2, axis=2).repeat(2, axis=3)
+
+
+ORACLES = {
+    ad.relu: (lambda x: np.where(x > 0, x, x.dtype.type(0)), lambda x, g: g * (x > 0)),
+    ad.leaky_relu: (
+        lambda x: np.where(x >= 0, x, x * x.dtype.type(0.2)),
+        lambda x, g: np.where(x >= 0, g, g * x.dtype.type(0.2)),
+    ),
+    ad.upsample_nearest: (repeat2, lambda x, g: blocks(g).sum(axis=(3, 5))),
+    ad.avg_pool2: (
+        lambda x: blocks(x).mean(axis=(3, 5)),
+        lambda x, g: repeat2(g * x.dtype.type(0.25)),
+    ),
+}
+
+
+def edge_values(dtype):
+    """Signed zeros, the smallest and largest subnormals, a sum tie and plain values."""
+    f = np.finfo(dtype)
+    tiny, normal = float(f.smallest_subnormal), float(f.smallest_normal)
+    eps, slope = float(f.eps), float(f.dtype.type(0.2))
+    values = [0.0, tiny, normal - tiny, normal, eps / 2, 1.0, 1.0 + eps, slope, 3.0]
+    return values + [-v for v in values]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def check_against_oracle(op, x, g):
+    forward, backward = ORACLES[op]
+    y = op(Tensor(x, requires_grad=True, dtype=x.dtype))
+    assert_same_bits(y.data, forward(x))
+    assert_same_bits(y._backward(g)[0], backward(x, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(ORACLES), ids=lambda op: op.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_elementwise_and_block_ops_equal_their_select_and_reduce_forms(op, dtype, data):
+    """Forward and input gradient equal the old formulations bit for bit, signed zeros included."""
+    elements = st.one_of(
+        st.sampled_from(edge_values(dtype)),
+        st.floats(-(2.0**100), 2.0**100, width=np.dtype(dtype).itemsize * 8),
+    )
+    n, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    if op is ad.avg_pool2:
+        h, w = 2 * data.draw(st.integers(1, 4)), 2 * data.draw(st.integers(1, 4))
+    else:
+        h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    x = data.draw(arrays(dtype, (n, c, h, w), elements=elements))
+    g = data.draw(arrays(dtype, ORACLES[op][0](x).shape, elements=elements))
+    check_against_oracle(op, x, g)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize("op", [ad.upsample_nearest, ad.avg_pool2], ids=lambda op: op.__name__)
+def test_block_ops_on_negative_zeros_keep_numpys_signs(op, w):
+    """numpy's 2x2 reduction turns a block of -0.0 into +0.0, at W = 1 and at wider W alike."""
+    x = np.full((2, 3, 4, 2 * w), -0.0)
+    g = np.full(ORACLES[op][0](x).shape, -0.0)
+    check_against_oracle(op, x, g)
+
+
+@pytest.mark.parametrize("dtype", [TRAIN_DTYPE, CHECK_DTYPE])
+def test_relu_of_negative_zero_is_positive_zero(dtype):
+    # np.maximum(0, x) would return -0.0: the operand order decides
+    y = ad.relu(Tensor(np.array([-0.0, 0.0]), dtype=dtype)).data
+    assert list(np.signbit(y)) == [False, False]
+
+
+@pytest.mark.parametrize("dtype", [TRAIN_DTYPE, CHECK_DTYPE])
+def test_leaky_relu_of_negative_zero_stays_negative_zero(dtype):
+    y = ad.leaky_relu(Tensor(np.array([-0.0, 0.0]), dtype=dtype)).data
+    assert list(np.signbit(y)) == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,32 @@ def test_synth_reruns_bit_identical(workspace):
     assert sha(tmp / "tex2_s7_0.png") == first
 
 
+@pytest.mark.parametrize("samples", [1, 3])
+def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatch, samples):
+    from texsyn import cli
+    from texsyn.generator import generate, load_model, one_hot, sample_noise
+    from texsyn.images import denormalize, save_image
+    from texsyn.rng import stream
+
+    tmp, cfg = workspace
+    untrained_models(tmp)
+    batches = []
+
+    def spy(params, selection, noise):
+        batches.append(noise.shape)
+        return generate(params, selection, noise)
+
+    monkeypatch.setattr(cli, "generate", spy)
+    assert run("synth", "--seed", "6", "--config", cfg, "--texture", "2", "--samples", str(samples)) == 0
+    params = load_model(str(tmp / "synthesis.model"))
+    assert batches == [(samples, params.config.noise_dim)]
+    noise_rng = stream(6, "noise")
+    for k in range(samples):
+        single = generate(params, one_hot(params.config, 2), sample_noise(params.config, noise_rng))
+        save_image(denormalize(single), str(tmp / f"single{k}.png"))
+        assert sha(tmp / f"tex2_s6_{k}.png") == sha(tmp / f"single{k}.png")
+
+
 def test_interpolate_endpoints_match_one_hot_synthesis(workspace):
     tmp, cfg = workspace
     assert run("train", "--seed", "3", "--config", cfg) == 0

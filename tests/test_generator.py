@@ -213,8 +213,9 @@ def test_model_roundtrip_bit_exact(params, tmp_path):
     loaded = load_model(path)
     assert loaded.config == CFG
     a = generate(params, one_hot(CFG, 2), noise(4)).data
-    b = generate(loaded, one_hot(CFG, 2), noise(4)).data
-    np.testing.assert_array_equal(a, b)
+    b = generate(loaded, one_hot(CFG, 2), noise(4))
+    np.testing.assert_array_equal(a, b.data)
+    assert not b.requires_grad  # served models hold no graph
 
 
 def test_model_file_size_matches_parameter_count(params, tmp_path):

@@ -382,6 +382,27 @@ def test_train_transfer_picks_ids_through_its_own_module(monkeypatch):
     assert picks == [0, 1, 2]
 
 
+def test_train_transfer_extracts_each_content_once(monkeypatch):
+    # the contents are constant, so their features come from one extract each per run
+    import texsyn.transfer as tf
+
+    constant = []
+    real = tf.extract
+
+    def spy(extractor, images, taps):
+        if not images.requires_grad:
+            constant.append(images.data.copy())
+        return real(extractor, images, taps)
+
+    monkeypatch.setattr(tf, "extract", spy)
+    contents = tiny_images(2, 90)
+    cfg = TransferConfig(seed=5, K=2, iterations=5, batch_size=2, style_taps=("conv1_1",))
+    train_transfer(tiny_images(2, 80), contents, cfg, extractor=EXT)
+    assert len(constant) == len(contents)
+    for got, want in zip(constant, contents):
+        np.testing.assert_array_equal(got, want[None])
+
+
 def test_train_transfer_validation():
     with pytest.raises(ValueError):
         train_transfer([], tiny_images(1, 0), TransferConfig(seed=0))
@@ -400,8 +421,9 @@ def test_transfer_model_roundtrip(params, tmp_path):
     assert loaded.config == NET
     c = content_image(3)
     a = transfer(params, c, one_hot(1), np.random.default_rng(2)).data
-    b = transfer(loaded, c, one_hot(1), np.random.default_rng(2)).data
-    np.testing.assert_array_equal(a, b)
+    b = transfer(loaded, c, one_hot(1), np.random.default_rng(2))
+    np.testing.assert_array_equal(a, b.data)
+    assert not b.requires_grad  # served models hold no graph
 
 
 def test_transfer_model_shape_check(params, tmp_path):
