@@ -1,9 +1,10 @@
 """Dense tensors and reverse-mode automatic differentiation.
 
-The engine is deliberately small.  A :class:`Tensor` wraps a numpy array
-together with a gradient slot; every operation builds a define-by-run graph
-(the graph doubles as the tape and is rebuilt on each forward pass), and
-:func:`backward` replays it in reverse topological order.
+The engine is deliberately small.  A :class:`Tensor` wraps a numpy array;
+every operation builds a define-by-run graph (the graph doubles as the tape
+and is rebuilt on each forward pass), and :func:`backward` replays it in
+reverse topological order and returns the gradients of the leaves it is
+asked for.  No tensor stores a gradient.
 
 Two float widths exist.  Training code runs in float32 for speed; gradient
 checks build their graphs in float64, because central finite differences are
@@ -46,15 +47,13 @@ def _check_finite(array: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense float array enrolled in a differentiation graph.
 
-    ``data`` holds the value, ``grad`` the accumulated gradient (allocated
-    lazily, zero until a backward pass reaches this node).  Leaves are
-    constructed directly; operation results additionally carry their parent
-    nodes and a closure computing the parents' adjoints.  ``requires_grad``
-    marks leaves that should receive gradients; it propagates automatically
-    to operation results.
+    ``data`` holds the value.  Leaves are constructed directly; operation
+    results additionally carry their parent nodes and a closure computing
+    the parents' adjoints.  ``requires_grad`` marks leaves that gradients
+    may be taken for; it propagates automatically to operation results.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(
         self,
@@ -73,7 +72,6 @@ class Tensor:
         _check_finite(arr, _op)
         self.data = arr
         self.requires_grad = requires_grad
-        self._grad = None
         self._parents = _parents
         self._backward = _backward
         self._op = _op
@@ -89,22 +87,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self._grad = value
-
-    def zero_grad(self) -> None:
-        self._grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def sum(self) -> "Tensor":
         out_data = self.data.sum()
@@ -163,19 +145,24 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every reachable leaf requiring gradients.
+def backward(loss: Tensor, leaves) -> list:
+    """The gradient of ``loss`` with respect to each of ``leaves``, in order.
 
-    ``loss`` must be scalar (shape () or (1,)).  Adjoints are computed per
-    call and then added into each leaf's ``grad``, so repeated calls without
-    zeroing accumulate.  Operation results keep no gradient: each adjoint
-    is dropped once it has reached the result's parents.
+    ``loss`` must be scalar (shape () or (1,)).  Each gradient is a new
+    writable array of its leaf's shape; a leaf that ``loss`` does not reach
+    gets zeros.  Adjoints are dropped once they have reached their parents,
+    so asking for an operation result that requires gradients raises
+    ValueError.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-    order = _toposort(loss)
+    leaves = list(leaves)
+    for t in leaves:
+        if t._backward is not None:
+            raise ValueError(f"backward: {t!r} is an operation result, not a leaf")
+    wanted = {id(t) for t in leaves}
+    found: dict[int, np.ndarray] = {}
+    order = _toposort(loss) if loss.requires_grad else []
     adjoint: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.shape, dtype=loss.dtype)
     }
@@ -184,7 +171,8 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._backward is None:
-            node._grad = g.copy() if node._grad is None else node._grad + g
+            if id(node) in wanted:
+                found[id(node)] = g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -194,6 +182,8 @@ def backward(loss: Tensor) -> None:
                 adjoint[key] = adjoint[key] + pg
             else:
                 adjoint[key] = pg
+    # copies: add hands one array to both parents, sum a read-only broadcast view
+    return [found[id(t)].copy() if id(t) in found else np.zeros_like(t.data) for t in leaves]
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,12 @@ def cmd_synth(args) -> int:
     noise_rng = stream(args.seed, "noise")
     noise = np.stack([sample_noise(params.config, noise_rng) for _ in range(args.samples)])
     names = [f"tex{args.texture}_s{args.seed}_{k}.png" for k in range(args.samples)]
-    # one batch: its rows equal single-sample calls bit for bit
-    written = _write_images(run, names, generate(params, selection, noise).data)
+    # batches of about 16k output pixels bound memory; rows equal single-sample calls bit for bit
+    rows = max(1, 16384 // params.config.output_size**2)
+    written = []
+    for k in range(0, args.samples, rows):
+        batch = generate(params, selection, noise[k : k + rows]).data
+        written += _write_images(run, names[k : k + rows], batch)
     print(f"wrote {len(written)} images: {', '.join(written)}")
     return 0
 

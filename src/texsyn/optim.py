@@ -1,7 +1,8 @@
 """Adaptive moment estimation on tensor parameters.
 
-Standard first/second moment scheme with bias correction.  Updates happen
-in place on each parameter's data array, in that array's dtype.
+Standard first/second moment scheme with bias correction.  ``step`` takes
+one gradient per parameter, as :func:`autodiff.backward` returns them, and
+replaces each parameter's data array, in that array's dtype.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
+    def step(self, grads: list) -> None:
+        if len(grads) != len(self.params):
+            raise ValueError(f"got {len(grads)} gradients for {len(self.params)} parameters")
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

@@ -93,10 +93,6 @@ class ParamSet:
     def parameters(self) -> list:
         return list(self.tensors.values())
 
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
 
 def save_params(path: str, params: ParamSet, header: str, config: np.ndarray) -> None:
     """Write a model file: the config array under ``header``, then the weights."""
@@ -166,18 +162,6 @@ class LossLog:
         for it, texture, *losses in self.rows:
             lines.append(",".join([str(it), str(texture)] + [repr(v) for v in losses]))
         atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
-
-    @classmethod
-    def load(cls, path: str, columns: tuple = LOSS_COLUMNS) -> "LossLog":
-        log = cls(columns)
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != ",".join(columns):
-                raise ValueError(f"unexpected loss-log header {header!r}")
-            for line in f:
-                it, texture, *losses = line.strip().split(",")
-                log.append(int(it), int(texture), *map(float, losses))
-        return log
 
 
 def load_tensors(path: str) -> dict[str, np.ndarray]:

@@ -226,9 +226,7 @@ def train_step(
     )
     loss = total_loss(l_texture, l_diversity, config.alpha, config.beta)
 
-    params.zero_grad()
-    loss.backward()
-    optimizer.step()
+    optimizer.step(ad.backward(loss, optimizer.params))
     return float(l_texture.data), float(l_diversity.data), float(loss.data)
 
 
@@ -299,9 +297,7 @@ def pixel_optimize(
         feats = extract(extractor, pixels, taps)
         loss = texture_loss(target, feats)
         losses.append(float(loss.data))
-        pixels.zero_grad()
-        loss.backward()
-        optimizer.step()
+        optimizer.step(ad.backward(loss, optimizer.params))
     feats = extract(extractor, pixels, taps)
     losses.append(float(texture_loss(target, feats).data))
     return pixels.data[0].copy(), losses

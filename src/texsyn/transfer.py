@@ -222,9 +222,7 @@ def train_transfer(
             total_loss(l_style, l_diversity, config.alpha, config.beta),
             ad.scale(l_content, config.content_weight),
         )
-        params.zero_grad()
-        loss.backward()
-        optimizer.step()
+        optimizer.step(ad.backward(loss, optimizer.params))
         return float(l_style.data), float(l_diversity.data), float(loss.data), float(l_content.data)
 
     log = fit(config, m, schedule_texture, step, LossLog(LOG_COLUMNS), log_every)

@@ -1,5 +1,6 @@
 """Deterministic synthetic exemplar textures for tests, one loss oracle,
-and a byte-mutation strategy for fuzzing file loaders.
+a byte-mutation strategy for fuzzing file loaders, a saved-loss-log reader
+and a recorder of the gradients ``Adam.step`` is given.
 
 Three sinusoidal gratings from a single pattern family, differing in
 orientation and per-channel phase palette.  Sharing one family makes the
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from texsyn import autodiff as ad
 from texsyn.images import ImageBuffer, save_image
 from texsyn.losses import derangement
+from texsyn.optim import Adam
 
 
 def _grating(direction, phases, size: int, seed: int) -> np.ndarray:
@@ -43,6 +45,33 @@ GENERATORS = (diagonal, antidiagonal, horizontal)
 def exemplar_arrays(count: int, size: int = 32) -> list:
     """The first `count` synthetic textures at the given size."""
     return [GENERATORS[i % 3](size, seed=i) for i in range(count)]
+
+
+ADAM_STEP = Adam.step
+
+
+def record_steps(monkeypatch) -> list:
+    """From now on, every ``Adam.step`` call also appends its gradient list
+    to the returned list; a later call starts a new list."""
+    steps = []
+
+    def recording_step(self, grads):
+        steps.append(grads)
+        return ADAM_STEP(self, grads)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    return steps
+
+
+def read_loss_log(path) -> tuple:
+    """A saved loss log's header line, and its rows parsed back as (iter, id, *losses)."""
+    with open(path) as f:
+        header, *lines = f.read().splitlines()
+    rows = []
+    for line in lines:
+        it, texture, *losses = line.split(",")
+        rows.append((int(it), int(texture), *map(float, losses)))
+    return header, rows
 
 
 def write_exemplars(directory, count: int, size: int = 32) -> list:

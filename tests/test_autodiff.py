@@ -92,8 +92,8 @@ def conv2d_passes(x, k, g, stride=1, pad=0):
     xt = Tensor(x, requires_grad=True, dtype=x.dtype)
     kt = Tensor(k, requires_grad=True, dtype=k.dtype)
     y = ad.conv2d(xt, kt, stride=stride, pad=pad)
-    ad.mul(y, Tensor(g, dtype=g.dtype)).sum().backward()
-    return y.data, xt.grad, kt.grad
+    grad_x, grad_k = ad.backward(ad.mul(y, Tensor(g, dtype=g.dtype)).sum(), [xt, kt])
+    return y.data, grad_x, grad_k
 
 
 def numeric_grad(fn, arrays, index, h=1e-4):
@@ -121,16 +121,15 @@ def max_rel_err(analytic, numeric):
 def check_grads(build, arrays, tol=1e-4):
     """build(*tensors) -> scalar Tensor; checks every input's gradient."""
     tensors = [Tensor(a, requires_grad=True, dtype=CHECK_DTYPE) for a in arrays]
-    loss = build(*tensors)
-    loss.backward()
+    grads = ad.backward(build(*tensors), tensors)
 
     def value(*arrs):
         consts = [Tensor(a, dtype=CHECK_DTYPE) for a in arrs]
         return float(build(*consts).data)
 
-    for i, t in enumerate(tensors):
+    for i, grad in enumerate(grads):
         num = numeric_grad(value, [a.astype(np.float64) for a in arrays], i)
-        err = max_rel_err(t.grad, num)
+        err = max_rel_err(grad, num)
         assert err < tol, f"input {i}: rel err {err:.3e} >= {tol}"
 
 
@@ -490,41 +489,61 @@ def test_grad_composite_chain():
 # graph mechanics
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_calls_return_equal_independent_arrays():
     a = Tensor(np.ones((2, 2)), requires_grad=True, dtype=CHECK_DTYPE)
     loss = ad.scale(a, 3.0).sum()
-    loss.backward()
-    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
-    loss2 = ad.scale(a, 3.0).sum()
-    loss2.backward()
-    np.testing.assert_array_equal(a.grad, np.full((2, 2), 6.0))
-    a.zero_grad()
-    np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
+    (first,) = ad.backward(loss, [a])
+    (second,) = ad.backward(loss, [a])
+    np.testing.assert_array_equal(first, np.full((2, 2), 3.0))
+    np.testing.assert_array_equal(second, np.full((2, 2), 3.0))
+    assert not np.shares_memory(first, second)
+    first += 1.0
+    np.testing.assert_array_equal(second, np.full((2, 2), 3.0))
 
 
-def test_backward_leaves_no_gradient_on_operation_results():
+def test_backward_rejects_operation_results():
+    # an operation result's adjoint is dropped once it reaches the parents
     a = Tensor(np.ones((2, 2)), requires_grad=True, dtype=CHECK_DTYPE)
     y = ad.scale(a, 3.0)
-    y.sum().backward()
-    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
-    assert y._grad is None
+    with pytest.raises(ValueError, match="operation result"):
+        ad.backward(y.sum(), [a, y])
+
+
+def test_backward_gives_each_leaf_its_own_writable_array():
+    # add hands one adjoint to both parents, and sum a read-only broadcast view
+    a = Tensor(np.ones((2, 3)), requires_grad=True, dtype=CHECK_DTYPE)
+    b = Tensor(np.ones((2, 3)), requires_grad=True, dtype=CHECK_DTYPE)
+    ga, gb = ad.backward(ad.add(a, b).sum(), [a, b])
+    assert ga.flags.writeable and gb.flags.writeable
+    assert not np.shares_memory(ga, gb)
+    ga += 1.0
+    np.testing.assert_array_equal(gb, np.ones((2, 3)))
+
+
+def test_backward_gives_unreached_leaves_zeros():
+    a = Tensor(np.full((2,), 2.0), requires_grad=True, dtype=CHECK_DTYPE)
+    unused = Tensor(np.ones((3, 2)), requires_grad=True, dtype=CHECK_DTYPE)
+    constant = Tensor(np.ones((2,)), dtype=CHECK_DTYPE)
+    ga, g_unused, g_constant = ad.backward(ad.mul(a, constant).sum(), [a, unused, constant])
+    np.testing.assert_array_equal(ga, np.ones((2,)))
+    np.testing.assert_array_equal(g_unused, np.zeros((3, 2)))
+    np.testing.assert_array_equal(g_constant, np.zeros((2,)))
+    assert g_unused.dtype == CHECK_DTYPE
 
 
 def test_backward_handles_shared_subgraph():
     a = Tensor(np.full((3,), 2.0), requires_grad=True, dtype=CHECK_DTYPE)
     b = ad.mul(a, a)  # a appears twice as a parent
-    loss = b.sum()
-    loss.backward()
-    np.testing.assert_allclose(a.grad, np.full((3,), 4.0))
+    (ga,) = ad.backward(b.sum(), [a])
+    np.testing.assert_allclose(ga, np.full((3,), 4.0))
 
 
 def test_backward_diamond_graph():
     a = Tensor(np.array([1.5]), requires_grad=True, dtype=CHECK_DTYPE)
     u = ad.scale(a, 2.0)
     v = ad.scale(a, 3.0)
-    loss = ad.add(u, v).sum()
-    loss.backward()
-    np.testing.assert_allclose(a.grad, np.array([5.0]))
+    (ga,) = ad.backward(ad.add(u, v).sum(), [a])
+    np.testing.assert_allclose(ga, np.array([5.0]))
 
 
 def test_backward_deep_chain_no_recursion_limit():
@@ -532,16 +551,15 @@ def test_backward_deep_chain_no_recursion_limit():
     y = x
     for _ in range(5000):
         y = ad.scale(y, 1.0)
-    y.sum().backward()
-    np.testing.assert_allclose(x.grad, np.array([1.0]))
+    (gx,) = ad.backward(y.sum(), [x])
+    np.testing.assert_allclose(gx, np.array([1.0]))
 
 
 def test_detach_blocks_gradient():
     a = Tensor(np.ones((2,)), requires_grad=True, dtype=CHECK_DTYPE)
     frozen = Tensor(ad.scale(a, 2.0).data)
-    loss = ad.mul(frozen, a).sum()
-    loss.backward()
-    np.testing.assert_allclose(a.grad, np.full((2,), 2.0))
+    (ga,) = ad.backward(ad.mul(frozen, a).sum(), [a])
+    np.testing.assert_allclose(ga, np.full((2,), 2.0))
 
 
 def test_requires_grad_propagates():
@@ -556,7 +574,7 @@ def test_requires_grad_propagates():
 def test_backward_requires_scalar():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.add(a, a).backward()
+        ad.backward(ad.add(a, a), [a])
 
 
 # ---------------------------------------------------------------------------

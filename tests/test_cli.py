@@ -6,10 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from helpers import write_exemplars
+from helpers import read_loss_log, write_exemplars
 from texsyn.cli import main
 from texsyn.images import load_image
-from texsyn.trainer import LossLog
 
 # A configuration small enough that a full training run takes seconds.
 TINY_CFG = """
@@ -65,8 +64,9 @@ def test_train_then_synth_writes_expected_files(workspace, capsys):
     tmp, cfg = workspace
     assert run("train", "--seed", "5", "--config", cfg) == 0
     assert (tmp / "synthesis.model").exists()
-    log = LossLog.load(str(tmp / "loss.csv"))
-    assert len(log.rows) == 8
+    header, rows = read_loss_log(tmp / "loss.csv")
+    assert header == "iter,texture,l_texture,l_diversity,total"
+    assert len(rows) == 8
 
     assert run("synth", "--seed", "5", "--config", cfg, "--texture", "1", "--samples", "2") == 0
     for k in range(2):
@@ -111,15 +111,25 @@ def test_synth_reruns_bit_identical(workspace):
     assert sha(tmp / "tex2_s7_0.png") == first
 
 
-@pytest.mark.parametrize("samples", [1, 3])
-def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatch, samples):
+def default_model(tmp):
+    """A freshly initialized 32x32 synthesis model of default sizes at the workspace's path."""
+    from texsyn.generator import SynthesisConfig, init_params, save_model
+
+    params = init_params(SynthesisConfig(textures=2), 0)
+    assert params.config.output_size == 32
+    save_model(params, str(tmp / "synthesis.model"))
+
+
+# a 32x32 model renders batches of at most 16384 // 32**2 = 16 rows
+@pytest.mark.parametrize("samples, rows", [(1, [1]), (3, [3]), (17, [16, 1])], ids=["1", "3", "17"])
+def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatch, samples, rows):
     from texsyn import cli
     from texsyn.generator import generate, load_model, one_hot, sample_noise
     from texsyn.images import denormalize, save_image
     from texsyn.rng import stream
 
     tmp, cfg = workspace
-    untrained_models(tmp)
+    default_model(tmp)
     batches = []
 
     def spy(params, selection, noise):
@@ -129,12 +139,27 @@ def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatc
     monkeypatch.setattr(cli, "generate", spy)
     assert run("synth", "--seed", "6", "--config", cfg, "--texture", "2", "--samples", str(samples)) == 0
     params = load_model(str(tmp / "synthesis.model"))
-    assert batches == [(samples, params.config.noise_dim)]
+    assert batches == [(n, params.config.noise_dim) for n in rows]
     noise_rng = stream(6, "noise")
     for k in range(samples):
         single = generate(params, one_hot(params.config, 2), sample_noise(params.config, noise_rng))
         save_image(denormalize(single), str(tmp / f"single{k}.png"))
         assert sha(tmp / f"tex2_s6_{k}.png") == sha(tmp / f"single{k}.png")
+
+
+def test_synth_memory_stays_bounded_in_the_sample_count(workspace):
+    import tracemalloc
+
+    tmp, cfg = workspace
+    default_model(tmp)
+    tracemalloc.start()
+    try:
+        assert run("synth", "--seed", "6", "--config", cfg, "--texture", "1", "--samples", "64") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one batch of all 64 rows peaks near 24 MB
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_interpolate_endpoints_match_one_hot_synthesis(workspace):

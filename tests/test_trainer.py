@@ -11,7 +11,7 @@ from texsyn.generator import SynthesisConfig, generate, init_params, one_hot, sa
 from texsyn.losses import texture_loss, total_loss
 from texsyn.optim import Adam
 from texsyn.serialize import ParamSet
-from helpers import per_sample_diversity
+from helpers import per_sample_diversity, read_loss_log, record_steps
 from texsyn.trainer import (
     LossLog,
     Schedule,
@@ -120,8 +120,7 @@ def test_adam_lr_zero_leaves_params_bit_exact():
     p = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
     before = p.data.copy()
     opt = Adam([p], lr=0.0)
-    p.grad = np.array([1.0, 1.0, 1.0], dtype=np.float32)
-    opt.step()
+    opt.step([np.array([1.0, 1.0, 1.0], dtype=np.float32)])
     assert p.data.tobytes() == before.tobytes()
 
 
@@ -129,7 +128,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
     before = p.data.copy()
     opt = Adam([p], lr=1e-3)
-    opt.step()  # grad defaults to zeros
+    opt.step([np.zeros(2, dtype=np.float32)])
     assert p.data.tobytes() == before.tobytes()
 
 
@@ -139,10 +138,7 @@ def test_adam_descends_a_quadratic():
     p = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
     opt = Adam([p], lr=0.1)
     for _ in range(300):
-        loss = ad.mul(p, p).sum()
-        p.zero_grad()
-        loss.backward()
-        opt.step()
+        opt.step(ad.backward(ad.mul(p, p).sum(), [p]))
     assert np.all(np.abs(p.data) < 0.05)
 
 
@@ -150,9 +146,21 @@ def test_adam_first_step_magnitude_is_lr():
     # bias correction makes the very first update lr-sized per coordinate
     p = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
     opt = Adam([p], lr=1e-3)
-    p.grad = np.array([0.5, -2.0, 10.0])
-    opt.step()
+    opt.step([np.array([0.5, -2.0, 10.0])])
     np.testing.assert_allclose(np.abs(p.data), 1e-3, rtol=1e-6)
+
+
+def test_adam_rejects_a_gradient_list_of_another_length():
+    p = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
+    q = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    opt = Adam([p, q], lr=1e-3)
+    for grads in ([np.ones(2)], [np.ones(2), np.ones(3), np.ones(3)]):
+        with pytest.raises(ValueError, match="gradients for 2 parameters"):
+            opt.step(grads)
+    # nothing moved: no parameter, moment or step count
+    assert opt.t == 0
+    np.testing.assert_array_equal(p.data, np.ones(2))
+    np.testing.assert_array_equal(q.data, np.ones(3))
 
 
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
@@ -237,10 +245,9 @@ def test_losslog_csv_roundtrip(tmp_path):
     log.append(1, 2, 1.0, 1 / 3, 2 / 3)
     path = str(tmp_path / "losses.csv")
     log.save(path)
-    with open(path) as f:
-        assert f.readline().strip() == "iter,texture,l_texture,l_diversity,total"
-    loaded = LossLog.load(path)
-    assert loaded.rows == log.rows
+    header, rows = read_loss_log(path)
+    assert header == "iter,texture,l_texture,l_diversity,total"
+    assert rows == log.rows
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +372,7 @@ def assert_agree(got: list, want: list, rtol: float) -> None:
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0])
-def test_batch_losses_equal_the_per_sample_loop(beta):
+def test_batch_losses_equal_the_per_sample_loop(beta, monkeypatch):
     # The batch sums in another order than the per-sample loop, so the two
     # agree to rounding: 1e-5 in float32 (the training width) and 1e-10 in
     # float64, for the three losses and every parameter gradient.
@@ -384,7 +391,7 @@ def test_batch_losses_equal_the_per_sample_loop(beta):
             noise_rng, derangement_rng = np.random.default_rng(0), np.random.default_rng(2)
             if way == "reference":
                 losses = reference_step(params, 2, targets[1], cfg, noise_rng, derangement_rng)
-                losses[2].backward()
+                grads = ad.backward(losses[2], params.parameters())
             elif way == "batch_losses":
                 def render(n):
                     return generate(params, one_hot(SMALL, 2), np.stack([sample_noise(SMALL, noise_rng) for _ in range(n)]))
@@ -392,13 +399,15 @@ def test_batch_losses_equal_the_per_sample_loop(beta):
                 l_tex, l_div, maps = batch_losses(cfg, EXT, targets[1], render, taps, derangement_rng)
                 assert (maps is not None and maps.shape[0] == 4) == (beta != 0.0)
                 losses = (l_tex, l_div, total_loss(l_tex, l_div, cfg.alpha, cfg.beta))
-                losses[2].backward()
+                grads = ad.backward(losses[2], params.parameters())
             else:
                 opt = Adam(params.parameters(), lr=cfg.lr)
+                steps = record_steps(monkeypatch)
                 losses = train_step(params, EXT, targets, 2, cfg, opt, noise_rng, derangement_rng)
+                (grads,) = steps
             values = [float(v.data) if isinstance(v, Tensor) else v for v in losses]
-            runs.append((values, [t.grad for t in params.tensors.values()]))
-            assert all(t.grad.dtype == dtype for t in params.tensors.values())
+            runs.append((values, grads))
+            assert all(g.dtype == dtype for g in grads)
         for values, grads in runs[1:]:
             assert_agree(values, runs[0][0], rtol)
             assert_agree(grads, runs[0][1], rtol)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from texsyn import rng as _rng
-from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor
+from helpers import read_loss_log, record_steps
+from texsyn.autodiff import CHECK_DTYPE, ShapeError, Tensor, backward
 from texsyn.extractor import ExtractorConfig, build_extractor, extract
 from texsyn.generator import SelectionUnit
 from texsyn.losses import DIVERSITY_TAP
-from texsyn.serialize import LossLog, WeightFormatError
+from texsyn.serialize import WeightFormatError
 from texsyn.transfer import (
-    LOG_COLUMNS,
     TransferConfig,
     TransferNetConfig,
     content_distance,
@@ -202,7 +202,7 @@ def test_content_loss_gradient_vs_finite_differences():
         )
 
     t = Tensor(img, requires_grad=True, dtype=CHECK_DTYPE)
-    content_loss(t, Tensor(ref, dtype=CHECK_DTYPE), small_ext, tap="conv2_1").backward()
+    (grad,) = backward(content_loss(t, Tensor(ref, dtype=CHECK_DTYPE), small_ext, tap="conv2_1"), [t])
     h = 1e-4
     flat = img.reshape(-1)
     num = np.zeros_like(flat)
@@ -214,7 +214,7 @@ def test_content_loss_gradient_vs_finite_differences():
         lo = value(img)
         flat[i] = keep
         num[i] = (hi - lo) / (2 * h)
-    err = np.max(np.abs(t.grad.reshape(-1) - num) / np.maximum(1.0, np.abs(num)))
+    err = np.max(np.abs(grad.reshape(-1) - num) / np.maximum(1.0, np.abs(num)))
     assert err < 1e-3
 
 
@@ -239,10 +239,9 @@ def test_gradients_reach_all_transfer_params():
     out = transfer(params, content_image(9), one_hot(1), np.random.default_rng(0), samples=1)
     style_term = texture_loss(target, extract(EXT, out, ["conv3_1"]))
     combined = ad.add(style_term, content_loss(out, content_batch(9)))
-    params.zero_grad()
-    combined.backward()
-    for name, t in params.tensors.items():
-        assert np.any(t.grad != 0), f"no gradient reached {name}"
+    grads = ad.backward(combined, params.parameters())
+    for name, grad in zip(params.tensors, grads):
+        assert np.any(grad != 0), f"no gradient reached {name}"
 
 
 def test_train_transfer_smoke_and_log_schema(tmp_path):
@@ -254,9 +253,9 @@ def test_train_transfer_smoke_and_log_schema(tmp_path):
     assert len(log.rows) == 4
     path = str(tmp_path / "log.csv")
     log.save(path)
-    with open(path) as f:
-        assert f.readline().strip() == "iter,texture,l_texture,l_diversity,total,l_content"
-    assert LossLog.load(path, LOG_COLUMNS).rows == log.rows
+    header, rows = read_loss_log(path)
+    assert header == "iter,texture,l_texture,l_diversity,total,l_content"
+    assert rows == log.rows
 
 
 def test_train_transfer_reproducible():
@@ -278,7 +277,7 @@ def as_dtype(params, dtype):
 def reference_first_iteration(styles, contents, cfg, net, dtype=np.float32) -> tuple:
     """Iteration 0 (style 1) of the per-sample transfer step before
     trainer.batch_losses, with weights and contents of ``dtype``; returns
-    (its log values, the stepped params holding their gradients)."""
+    (its log values, {name: gradient})."""
     from texsyn import autodiff as ad
     from texsyn.generator import weighted_selection
     from helpers import per_sample_diversity
@@ -318,18 +317,17 @@ def reference_first_iteration(styles, contents, cfg, net, dtype=np.float32) -> t
         total_loss(l_style, l_diversity, cfg.alpha, cfg.beta),
         ad.scale(l_content, cfg.content_weight),
     )
-    params.zero_grad()
-    loss.backward()
-    optimizer.step()
+    grads = ad.backward(loss, optimizer.params)
+    optimizer.step(grads)
     values = (float(l_style.data), float(l_diversity.data), float(loss.data), float(l_content.data))
-    return values, params
+    return values, dict(zip(params.tensors, grads))
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0])
 def test_train_transfer_step_equals_the_per_sample_loop(beta, monkeypatch):
     # The batch sums in another order than the per-sample loop.  In float64
-    # the logged losses and every parameter gradient (left on the tensors by
-    # the one step) agree within 1e-10, each gradient relative to its
+    # the logged losses and every parameter gradient (the one passed to
+    # Adam's step) agree within 1e-10, each gradient relative to its
     # tensor's largest magnitude.  In float32, the training width, the
     # losses agree within 1e-5; the gradients are held to the float64
     # reference at 1e-5, because the float32 per-sample loop itself strays
@@ -347,15 +345,17 @@ def test_train_transfer_step_equals_the_per_sample_loop(beta, monkeypatch):
     for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-10)):
         want, _ = reference_first_iteration(styles, contents, cfg, NET, dtype)
         monkeypatch.setattr(tf, "init_transfer_params", lambda net, seed: as_dtype(init(net, seed), dtype))
+        steps = record_steps(monkeypatch)
         params, log = train_transfer(styles, contents, cfg, net_config=NET, extractor=EXT)
+        (grads,) = steps
         (row,) = log.rows
         assert row[:2] == (0, 1)
         np.testing.assert_allclose(row[2:], want, rtol=rtol)
         assert (row[3] == 0.0) == (beta == 0.0)
-        for name, t in params.tensors.items():
+        for (name, t), grad in zip(params.tensors.items(), grads):
             assert t.dtype == dtype
-            g = exact.tensors[name].grad
-            assert np.max(np.abs(t.grad - g)) <= rtol * np.max(np.abs(g)), name
+            g = exact[name]
+            assert np.max(np.abs(grad - g)) <= rtol * np.max(np.abs(g)), name
 
 
 def test_train_transfer_names_iteration_of_non_finite_loss():
