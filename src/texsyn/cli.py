@@ -141,6 +141,12 @@ def _write_images(run: cfg.RunConfig, names: list, images) -> list:
     return written
 
 
+def _batch_rows(params) -> int:
+    """Images rendered before they are written: about 16k output pixels, so
+    memory does not grow with the image count."""
+    return max(1, 16384 // params.config.output_size**2)
+
+
 def cmd_synth(args) -> int:
     if args.samples < 1:
         raise ValueError(f"need at least 1 sample, got {args.samples}")
@@ -150,8 +156,8 @@ def cmd_synth(args) -> int:
     noise_rng = stream(args.seed, "noise")
     noise = np.stack([sample_noise(params.config, noise_rng) for _ in range(args.samples)])
     names = [f"tex{args.texture}_s{args.seed}_{k}.png" for k in range(args.samples)]
-    # batches of about 16k output pixels bound memory; rows equal single-sample calls bit for bit
-    rows = max(1, 16384 // params.config.output_size**2)
+    # rows equal single-sample calls bit for bit
+    rows = _batch_rows(params)
     written = []
     for k in range(0, args.samples, rows):
         batch = generate(params, selection, noise[k : k + rows]).data
@@ -171,16 +177,20 @@ def cmd_interpolate(args) -> int:
     # One shared noise draw: the first vector of the synth stream, so the
     # endpoint images are bit-identical to `synth --texture {a,b}` sample 0.
     noise = sample_noise(params.config, stream(args.seed, "noise"))
-    images = []
+    # every selection is checked before the first image is written
+    selections = []
     for i in range(steps):
         weight = 1.0 - i / (steps - 1)
         bits = [(a, weight), (b, 1.0 - weight)]
-        selection = weighted_selection(
-            params.config.textures, [(t, w) for t, w in bits if w > 0.0]
+        selections.append(
+            weighted_selection(params.config.textures, [(t, w) for t, w in bits if w > 0.0])
         )
-        images.append(generate(params, selection, noise))
     names = [f"interp{a}to{b}_s{args.seed}_{i}.png" for i in range(steps)]
-    written = _write_images(run, names, images)
+    rows = _batch_rows(params)
+    written = []
+    for k in range(0, steps, rows):
+        images = [generate(params, selection, noise) for selection in selections[k : k + rows]]
+        written += _write_images(run, names[k : k + rows], images)
     print(f"wrote {steps} images sweeping texture {a} to {b}: {written[0]} ...")
     return 0
 

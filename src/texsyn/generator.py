@@ -4,9 +4,15 @@ The generator stream turns a noise vector crossed with a selection
 embedding into 1x1 seed maps, expands them with a transposed convolution,
 then repeatedly upsamples and convolves up to the output resolution.  The
 selector stream projects the same embedding into a coarse spatial map and
-refines it once per scale; its guidance maps are concatenated into the
-generator before each scale's convolution, telling every scale which
+refines it once per scale; each scale's convolution reads its guidance
+map beside the upsampled generator maps, telling every scale which
 texture is wanted.
+
+Each upsample-then-convolve is one ``ad.upsample_conv2d`` at the source
+resolution.  A generator scale's kernel is split by input channel: its
+first part convolves the generator maps, and its guidance part convolves
+the guidance map once, at batch 1; that result is repeated over the batch
+and added.
 
 Texture ids are 1-based everywhere: the one-hot selection for texture k
 has bit k set, counting from 1.
@@ -145,9 +151,8 @@ def selector_guidance(params: ParamSet, embedding: Tensor) -> list:
     x = ad.leaky_relu(ad.reshape(x, (1, c.guidance_channels, c.base_size, c.base_size)))
     maps = []
     for s in range(1, c.scales + 1):
-        x = ad.upsample_nearest(x)
         x = ad.leaky_relu(
-            ad.conv2d(x, t[f"selector.scale{s}.kernel"], t[f"selector.scale{s}.bias"], pad=1)
+            ad.upsample_conv2d(x, t[f"selector.scale{s}.kernel"], t[f"selector.scale{s}.bias"])
         )
         maps.append(x)
     return maps
@@ -164,9 +169,10 @@ def generate(
     One noise vector (noise_dim,) gives one image [3,S,S]; a batch of
     noise [N,noise_dim] gives [N,3,S,S].  The embedding and the selector
     stream run once per call and are repeated over the batch.  With
-    ``use_selector`` off (an ablation) the guidance maps are zeros of the
-    same shapes, so the generator stream runs unchanged but receives no
-    texture information beyond the seed maps.
+    ``use_selector`` off (an ablation) the guidance term is dropped, as if
+    the guidance maps were zeros: the generator stream receives no texture
+    information beyond the seed maps, and the selector weights get no
+    gradient.
     """
     c = params.config
     t = params.tensors
@@ -183,14 +189,12 @@ def generate(
     x = ad.leaky_relu(x)
     guidance = selector_guidance(params, e) if use_selector else None
     for s in range(1, c.scales + 1):
-        x = ad.upsample_nearest(x)
-        g = (
-            guidance[s - 1]
-            if guidance
-            else Tensor(np.zeros((1, c.guidance_channels) + x.shape[2:]), dtype=x.dtype)
-        )
-        x = ad.concat_channels(x, ad.repeat_batch(g, batch))
-        x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1))
+        kernel, cx = t[f"scale{s}.kernel"], c.widths[s - 1]
+        y = ad.upsample_conv2d(x, ad.slice_channels(kernel, 0, cx), t[f"scale{s}.bias"])
+        if guidance:
+            g = ad.conv2d(guidance[s - 1], ad.slice_channels(kernel, cx, kernel.shape[1]), pad=1)
+            y = ad.add(y, ad.repeat_batch(g, batch))
+        x = ad.leaky_relu(y)
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
     return ad.reshape(x, (3, c.output_size, c.output_size)) if single else x
 

@@ -114,7 +114,10 @@ def _primitive_cases(rng):
             lambda a, b: ad.concat_channels(a, b).sum(),
             [arr(1, 2, 3, 3), arr(1, 3, 3, 3)],
         ),
-        "upsample_nearest": lambda: (lambda a: ad.upsample_nearest(a).sum(), [arr(1, 2, 3, 3)]),
+        "slice_channels": lambda: (
+            lambda a, w: ad.mul(ad.slice_channels(a, 1, 3), w).sum(),
+            [arr(2, 4, 2, 2), arr(2, 2, 2, 2)],
+        ),
         "avg_pool2": lambda: (lambda a: ad.avg_pool2(a).sum(), [arr(1, 2, 4, 4)]),
         "conv2d": lambda: (
             lambda x, k, b: ad.conv2d(x, k, b, stride=1, pad=1).sum(),
@@ -123,6 +126,11 @@ def _primitive_cases(rng):
         "conv2d_strided": lambda: (
             lambda x, k: ad.conv2d(x, k, stride=2, pad=1).sum(),
             [arr(1, 2, 6, 6), arr(2, 2, 3, 3)],
+        ),
+        # weighted, so every output phase carries its own adjoint
+        "upsample_conv2d": lambda: (
+            lambda x, k, b, w: ad.mul(ad.upsample_conv2d(x, k, b), w).sum(),
+            [arr(2, 2, 3, 3), arr(3, 2, 3, 3), arr(3), arr(2, 3, 6, 6)],
         ),
         "full_conv2d": lambda: (
             lambda x, k: ad.full_conv2d(x, k).sum(),

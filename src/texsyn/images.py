@@ -14,6 +14,7 @@ roundtrip is exact for every 8-bit value.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -122,10 +123,11 @@ def load_image(path: str) -> ImageBuffer:
     stride = width * channels
     expected = (stride + 1) * height
     # inflate at most one byte past the expected size, so a small file
-    # cannot expand to an unbounded buffer before the length check
+    # cannot expand to an unbounded buffer before the length check; zlib
+    # takes the limit as a C ssize_t, which header sizes can overflow
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), expected + 1)
+        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
     except zlib.error as e:
         raise PngError(f"corrupt image data: {e}", idat_offset) from None
     if len(raw) != expected or not inflater.eof:

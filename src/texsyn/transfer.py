@@ -5,8 +5,8 @@ convolutions compress the content image; at the bottleneck, one 1-channel
 noise map per style is concatenated.  Selecting a style means sampling
 that style's map at random while every other map stays zero; blending
 styles feeds a weighted sum of freshly sampled maps.  The decoder mirrors
-the encoder with nearest-neighbor upsampling, so output size always
-equals content size.
+the encoder with nearest-neighbor upsampling (``ad.upsample_conv2d``), so
+output size always equals content size.
 
 Training reuses the texture machinery: the same loop and schedule
 (``trainer.fit``) and the same batch objective (``trainer.batch_losses``):
@@ -143,10 +143,9 @@ def transfer(
     for i in range(1, len(c.enc_widths) + 1):
         x = ad.leaky_relu(ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1))
     x = ad.concat_channels(ad.repeat_batch(x, batch), Tensor(noise, dtype=x.dtype))
-    for i in range(1, len(c.dec_widths) + 1):
-        if i > 1:
-            x = ad.upsample_nearest(x)
-        x = ad.leaky_relu(ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1))
+    x = ad.leaky_relu(ad.conv2d(x, t["dec1.kernel"], t["dec1.bias"], pad=1))
+    for i in range(2, len(c.dec_widths) + 1):
+        x = ad.leaky_relu(ad.upsample_conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"]))
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
     return ad.reshape(x, (3, h, w)) if samples is None else x
 

@@ -1,5 +1,6 @@
 """Deterministic synthetic exemplar textures for tests, one loss oracle,
-a byte-mutation strategy for fuzzing file loaders, a saved-loss-log reader
+the networks' upsample-then-convolve forms as references, a
+byte-mutation strategy for fuzzing file loaders, a saved-loss-log reader
 and a recorder of the gradients ``Adam.step`` is given.
 
 Three sinusoidal gratings from a single pattern family, differing in
@@ -13,9 +14,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from texsyn import autodiff as ad
+from texsyn import generator as gn
+from texsyn import transfer as tf
+from texsyn.autodiff import Tensor
 from texsyn.images import ImageBuffer, save_image
 from texsyn.losses import derangement
 from texsyn.optim import Adam
+from texsyn.serialize import ParamSet
 
 
 def _grating(direction, phases, size: int, seed: int) -> np.ndarray:
@@ -136,6 +141,76 @@ def per_sample_diversity(maps: list, rng: np.random.Generator):
         term = ad.l1_norm(ad.sub(maps[i], maps[sigma[i]]))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / (n * int(np.prod(maps[0].shape[2:]))))
+
+
+def assert_close_relative(got, want, tol):
+    """Every entry within tol of the largest magnitude of want."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= tol * max(float(np.max(np.abs(want))), 1e-30)
+
+
+def randomized(params: ParamSet, dtype, seed: int) -> ParamSet:
+    """``params`` in ``dtype``, each tensor (the zero biases too) plus 0.1·N(0, 1) noise."""
+    g = np.random.default_rng(seed)
+    return ParamSet.of(
+        params.config,
+        {n: (t.data + 0.1 * g.standard_normal(t.shape)).astype(dtype) for n, t in params.tensors.items()},
+    )
+
+
+def upsample_nearest(x: Tensor) -> Tensor:
+    """2x nearest upsampling of [N,C,h,w]: np.repeat forward, 2x2 block sums backward."""
+    n, c, h, w = x.shape
+
+    def grad_fn(g):
+        return (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
+
+    return ad._result(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,), grad_fn, "upsample_nearest")
+
+
+def reference_generate(params: ParamSet, selection, noise: np.ndarray, use_selector: bool = True) -> Tensor:
+    """``generator.generate`` of noise [N, noise_dim] as upsample, concat and
+    full-resolution conv2d, each guidance map repeated over the batch and
+    zero maps in its place without the selector: [N,3,S,S]."""
+    c, t = params.config, params.tensors
+    noise = Tensor(noise, dtype=t["embedding"].dtype)
+    batch = noise.shape[0]
+    e = gn.embed(params, selection)
+    x = ad.leaky_relu(ad.full_conv2d(gn.seed_maps(noise, e), t["seed.kernel"]))
+    g = ad.matmul(ad.reshape(e, (1, c.embed_dim)), t["selector.proj"])
+    g = ad.add(g, ad.reshape(t["selector.proj_bias"], (1,) + t["selector.proj_bias"].shape))
+    g = ad.leaky_relu(ad.reshape(g, (1, c.guidance_channels, c.base_size, c.base_size)))
+    for s in range(1, c.scales + 1):
+        x = upsample_nearest(x)
+        if use_selector:
+            g = ad.conv2d(upsample_nearest(g), t[f"selector.scale{s}.kernel"], t[f"selector.scale{s}.bias"], pad=1)
+            g = ad.leaky_relu(g)
+            guide = g
+        else:
+            guide = Tensor(np.zeros((1, c.guidance_channels) + x.shape[2:]), dtype=x.dtype)
+        x = ad.concat_channels(x, ad.repeat_batch(guide, batch))
+        x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1))
+    return ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
+
+
+def reference_transfer(params: ParamSet, content: Tensor, selection, rng, samples: int) -> Tensor:
+    """``transfer.transfer(..., samples=n)`` with its decoder as upsample
+    then full-resolution conv2d: [n,3,H,W]."""
+    c, t = params.config, params.tensors
+    h, w = content.shape[1:]
+    s = c.stride
+    noise = np.stack(
+        [tf.sample_noise_maps(c, (h // s, w // s), selection.weights, rng) for _ in range(samples)]
+    )
+    x = ad.reshape(content, (1,) + content.shape)
+    for i in range(1, len(c.enc_widths) + 1):
+        x = ad.leaky_relu(ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1))
+    x = ad.concat_channels(ad.repeat_batch(x, samples), Tensor(noise, dtype=x.dtype))
+    for i in range(1, len(c.dec_widths) + 1):
+        if i > 1:
+            x = upsample_nearest(x)
+        x = ad.leaky_relu(ad.conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"], pad=1))
+    return ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Gradient and convolution checks against independent oracles.
 
 Convolutions are compared to a six-nested-loop reference and to the
-earlier tensordot kernel; the ReLUs and the 2x2 ops to their earlier
+earlier tensordot kernel, and the upsampling convolution to ``conv2d`` of
+an ``np.repeat`` upsampling; the ReLUs and the 2x2 ops to their earlier
 select, reshape-reduction and repeat forms, bit for bit; every gradient is
 compared to central finite differences computed in float64.
 """
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import as_strided
 
+from helpers import assert_close_relative
 from texsyn import autodiff as ad
 from texsyn.autodiff import CHECK_DTYPE, TRAIN_DTYPE, NonFiniteError, ShapeError, Tensor
 
@@ -264,11 +266,76 @@ def test_full_conv2d_is_adjoint_of_conv2d(seed):
     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
-def test_upsample_nearest_forward():
-    x = np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2)
-    out = ad.upsample_nearest(Tensor(x, dtype=CHECK_DTYPE))
-    want = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]], dtype=np.float64)
-    np.testing.assert_array_equal(out.data[0, 0], want)
+def upsample_conv2d_oracle(x, k, b, g):
+    """conv2d of the np.repeat 2x upsampling at pad 1: (output, x, kernel and bias grads)
+    for upstream gradient g; the upsampled map's gradient is summed over its 2x2 blocks."""
+    dtype = x.dtype
+    up = Tensor(x.repeat(2, axis=2).repeat(2, axis=3), requires_grad=True, dtype=dtype)
+    kt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (k, b))
+    y = ad.conv2d(up, kt, bt, pad=1)
+    grad_up, grad_k, grad_b = ad.backward(ad.mul(y, Tensor(g, dtype=dtype)).sum(), [up, kt, bt])
+    n, c, h, w = x.shape
+    return y.data, grad_up.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)), grad_k, grad_b
+
+
+def upsample_conv2d_passes(x, k, b, g):
+    xt, kt, bt = (Tensor(a, requires_grad=True, dtype=a.dtype) for a in (x, k, b))
+    y = ad.upsample_conv2d(xt, kt, bt)
+    return (y.data, *ad.backward(ad.mul(y, Tensor(g, dtype=g.dtype)).sum(), [xt, kt, bt]))
+
+
+@st.composite
+def upsample_conv_arrays(draw, dtype):
+    """(x [N,C,h,w], kernel [O,C,3,3], bias [O], upstream gradient [N,O,2h,2w])."""
+    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = ((n, c, h, w), (o, c, 3, 3), (o,), (n, o, 2 * h, 2 * w))
+    return tuple(g.standard_normal(s).astype(dtype) for s in shapes)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_upsample_conv2d_equals_conv2d_of_repeat_upsampling(dtype, tol, data):
+    """Forward and the x, kernel and bias gradients equal the upsample-then-convolve oracle."""
+    x, k, b, g = data.draw(upsample_conv_arrays(dtype))
+    for got, want in zip(upsample_conv2d_passes(x, k, b, g), upsample_conv2d_oracle(x, k, b, g)):
+        assert_close_relative(got, want, tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_upsample_conv2d_batch_rows_equal_single_sample_calls(dtype, data):
+    """Row i of a batched forward and input gradient is the N=1 call, bit for bit."""
+    x, k, b, g = data.draw(upsample_conv_arrays(dtype))
+    out, grad_x, _, _ = upsample_conv2d_passes(x, k, b, g)
+    for i in range(x.shape[0]):
+        one_out, one_grad_x, _, _ = upsample_conv2d_passes(x[i : i + 1], k, b, g[i : i + 1])
+        np.testing.assert_array_equal(out[i : i + 1], one_out)
+        np.testing.assert_array_equal(grad_x[i : i + 1], one_grad_x)
+
+
+def test_upsample_conv2d_rejects_other_kernels_and_biases():
+    x = Tensor(np.ones((1, 2, 3, 3)))
+    for shape in [(4, 2, 2, 2), (4, 2, 3, 1), (4, 2, 5, 5), (4, 2, 9)]:
+        with pytest.raises(ShapeError, match="3x3 kernel"):
+            ad.upsample_conv2d(x, Tensor(np.ones(shape)), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match="bias"):
+        ad.upsample_conv2d(x, Tensor(np.ones((4, 2, 3, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="input channels"):
+        ad.upsample_conv2d(x, Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4)))
+
+
+def test_slice_channels_forward_and_shape_errors():
+    x = arr(2, 5, 3)
+    np.testing.assert_array_equal(ad.slice_channels(Tensor(x, dtype=CHECK_DTYPE), 1, 4).data, x[:, 1:4])
+    for start, stop in [(0, 0), (3, 2), (-1, 2), (0, 6)]:
+        with pytest.raises(ShapeError, match="slice_channels"):
+            ad.slice_channels(Tensor(x), start, stop)
+    with pytest.raises(ShapeError, match="slice_channels"):
+        ad.slice_channels(Tensor(np.ones(4)), 0, 1)
 
 
 def test_avg_pool2_forward():
@@ -295,7 +362,6 @@ ORACLES = {
         lambda x: np.where(x >= 0, x, x * x.dtype.type(0.2)),
         lambda x, g: np.where(x >= 0, g, g * x.dtype.type(0.2)),
     ),
-    ad.upsample_nearest: (repeat2, lambda x, g: blocks(g).sum(axis=(3, 5))),
     ad.avg_pool2: (
         lambda x: blocks(x).mean(axis=(3, 5)),
         lambda x, g: repeat2(g * x.dtype.type(0.25)),
@@ -346,7 +412,7 @@ def test_elementwise_and_block_ops_equal_their_select_and_reduce_forms(op, dtype
 
 
 @pytest.mark.parametrize("w", [1, 3])
-@pytest.mark.parametrize("op", [ad.upsample_nearest, ad.avg_pool2], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("op", [ad.avg_pool2], ids=lambda op: op.__name__)
 def test_block_ops_on_negative_zeros_keep_numpys_signs(op, w):
     """numpy's 2x2 reduction turns a block of -0.0 into +0.0, at W = 1 and at wider W alike."""
     x = np.full((2, 3, 4, 2 * w), -0.0)
@@ -437,10 +503,11 @@ def test_batch_op_shape_errors():
         ad.center(Tensor(np.ones(3)))
 
 
-def test_grad_concat_upsample_pool():
+def test_grad_concat_slice_pool():
     a, b = arr(1, 2, 3, 3), arr(1, 3, 3, 3)
     check_grads(lambda x, y: ad.concat_channels(x, y).sum(), [a, b])
-    check_grads(lambda x: ad.upsample_nearest(x).sum(), [arr(1, 2, 2, 3)])
+    w = Tensor(arr(2, 2, 3, 3), dtype=CHECK_DTYPE)
+    check_grads(lambda x: ad.mul(ad.slice_channels(x, 1, 3), w).sum(), [arr(2, 4, 3, 3)])
     check_grads(lambda x: ad.avg_pool2(x).sum(), [arr(1, 2, 4, 4)])
 
 
@@ -462,6 +529,16 @@ def test_grad_conv2d(stride, pad, size):
     )
 
 
+@pytest.mark.parametrize("n,c,o,h,w", [(1, 1, 1, 1, 1), (2, 2, 3, 3, 2), (1, 3, 2, 2, 4)])
+def test_grad_upsample_conv2d(n, c, o, h, w):
+    # weighted, so every output phase carries its own adjoint
+    weights = Tensor(arr(n, o, 2 * h, 2 * w), dtype=CHECK_DTYPE)
+    check_grads(
+        lambda xx, kk, bb: ad.mul(ad.upsample_conv2d(xx, kk, bb), weights).sum(),
+        [arr(n, c, h, w), arr(o, c, 3, 3), arr(o)],
+    )
+
+
 @pytest.mark.parametrize("n,i,o", [(1, 1, 1), (2, 2, 2), (3, 3, 1)])
 def test_grad_full_conv2d(n, i, o):
     x, k = arr(n, i, 1, 1), arr(i, o, 4, 4)
@@ -469,7 +546,7 @@ def test_grad_full_conv2d(n, i, o):
 
 
 def test_grad_composite_chain():
-    """A generator-shaped composite: deconv, upsample, conv, nonlinearity."""
+    """A generator-shaped composite: deconv, upsampling conv, nonlinearity."""
     x = arr(1, 2, 1, 1)
     k1 = arr(2, 3, 4, 4) * 0.5
     k2 = arr(2, 3, 3, 3) * 0.5
@@ -477,8 +554,7 @@ def test_grad_composite_chain():
 
     def build(xx, kk1, kk2, bb2):
         y = ad.full_conv2d(xx, kk1)
-        y = ad.upsample_nearest(y)
-        y = ad.conv2d(y, kk2, bb2, pad=1)
+        y = ad.upsample_conv2d(y, kk2, bb2)
         y = ad.leaky_relu(y)
         return ad.scale(ad.tanh(y).sum(), 1.0 / y.size)
 
@@ -640,16 +716,6 @@ def test_error_messages_name_the_op_and_shapes():
 
 # ---------------------------------------------------------------------------
 # property tests
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_upsample_then_pool_is_identity(seed):
-    g = np.random.default_rng(seed)
-    x = g.standard_normal((1, 2, 4, 4))
-    t = Tensor(x, dtype=CHECK_DTYPE)
-    back = ad.avg_pool2(ad.upsample_nearest(t))
-    np.testing.assert_allclose(back.data, x, rtol=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -162,6 +162,24 @@ def test_synth_memory_stays_bounded_in_the_sample_count(workspace):
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_interpolate_memory_stays_bounded_in_the_step_count(workspace):
+    import tracemalloc
+
+    tmp, cfg = workspace
+    default_model(tmp)
+    tracemalloc.start()
+    try:
+        assert run(
+            "interpolate", "--seed", "6", "--config", cfg,
+            "--from", "1", "--to", "2", "--steps", "256",
+        ) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding all 256 images until the end peaks near 5 MB
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_interpolate_endpoints_match_one_hot_synthesis(workspace):
     tmp, cfg = workspace
     assert run("train", "--seed", "3", "--config", cfg) == 0

@@ -252,3 +252,27 @@ def test_selection_unit_rejects_negative_and_matrix():
             SelectionUnit(np.array([0.5, bad]))
     with pytest.raises(ShapeError):
         SelectionUnit(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])
+@pytest.mark.parametrize("use_selector", [True, False])
+def test_generate_and_gradients_equal_the_upsample_concat_reference(dtype, tol, use_selector):
+    """The phase-kernel generator equals upsample -> concat -> conv2d, forward and every parameter gradient."""
+    from helpers import assert_close_relative, randomized, reference_generate
+    from texsyn import autodiff as ad
+
+    p = randomized(init_params(CFG, seed=5), dtype, seed=6)
+    g = np.random.default_rng(7)
+    draws = g.uniform(-1, 1, (3, CFG.noise_dim))
+    weights = Tensor(g.standard_normal((3, 3, CFG.output_size, CFG.output_size)), dtype=dtype)
+    selection = weighted_selection(3, [(1, 0.3), (3, 0.7)])
+    outs, grads = [], []
+    for forward in (generate, reference_generate):
+        img = forward(p, selection, draws, use_selector=use_selector)
+        outs.append(img.data)
+        grads.append(backward(ad.mul(img, weights).sum(), p.parameters()))
+    assert_close_relative(outs[0], outs[1], tol)
+    for name, got, want in zip(p.tensors, *grads):
+        assert_close_relative(got, want, tol)
+        if name.startswith("selector.") and not use_selector:
+            assert not np.any(got != 0), name

@@ -20,7 +20,7 @@ from texsyn.gradcheck import (
 REQUIRED_OPS = {
     "add", "sub", "mul", "scale", "relu", "leaky_relu", "tanh", "reshape",
     "sum", "l1_norm", "matmul", "batch_gram", "center", "repeat_batch", "take_rows",
-    "concat_channels", "upsample_nearest", "avg_pool2", "conv2d", "full_conv2d",
+    "concat_channels", "slice_channels", "avg_pool2", "conv2d", "upsample_conv2d", "full_conv2d",
 }
 
 

@@ -233,6 +233,14 @@ def test_decompression_bomb_rejected_in_bounded_memory(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_header_sizes_past_the_inflate_limit_raise_png_error(tmp_path):
+    # (3·w + 1)·h overflows the C ssize_t limit that zlib takes
+    path = str(tmp_path / "huge.png")
+    open(path, "wb").write(png_with_idat(0x3E000000, 0xB1000004, zlib.compress(bytes(7))))
+    with pytest.raises(PngError, match="inflate"):
+        load_image(path)
+
+
 def test_truncated_image_stream_rejected(tmp_path):
     raw = bytes(1 + 2 * 3) * 2  # two filter-0 rows of a 2x2 RGB image
     path = str(tmp_path / "cut.png")

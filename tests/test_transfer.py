@@ -436,3 +436,23 @@ def test_transfer_model_shape_check(params, tmp_path):
     serialize.save_tensors(path, tensors)
     with pytest.raises(WeightFormatError, match="enc1.bias"):
         load_transfer_model(path)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])
+def test_transfer_and_gradients_equal_the_upsample_conv_reference(dtype, tol):
+    """The phase-kernel decoder equals upsample -> conv2d, forward and every parameter gradient."""
+    from helpers import assert_close_relative, randomized, reference_transfer
+    from texsyn import autodiff as ad
+
+    p = randomized(init_transfer_params(NET, seed=2), dtype, seed=4)
+    content = Tensor(content_image(5, size=16).data, dtype=dtype)
+    weights = Tensor(np.random.default_rng(6).standard_normal((2, 3, 16, 16)), dtype=dtype)
+    selection = SelectionUnit(np.array([0.4, 0.6]))
+    outs, grads = [], []
+    for forward in (transfer, reference_transfer):
+        out = forward(p, content, selection, np.random.default_rng(8), samples=2)
+        outs.append(out.data)
+        grads.append(backward(ad.mul(out, weights).sum(), p.parameters()))
+    assert_close_relative(outs[0], outs[1], tol)
+    for got, want in zip(*grads):
+        assert_close_relative(got, want, tol)
