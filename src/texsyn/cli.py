@@ -18,6 +18,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,12 +28,12 @@ from . import config as cfg
 from .autodiff import NonFiniteError, Tensor
 from .extractor import build_extractor
 from .generator import (
+    SelectionUnit,
     generate,
     load_model,
     one_hot,
     sample_noise,
     save_model,
-    weighted_selection,
 )
 from .images import denormalize, load_image, normalize, resize_box, save_image
 from .rng import stream
@@ -142,9 +143,9 @@ def _write_images(run: cfg.RunConfig, names: list, images) -> list:
 
 
 def _batch_rows(params) -> int:
-    """Images rendered before they are written: about 16k output pixels, so
+    """Images rendered before they are written: about 8k output pixels, so
     memory does not grow with the image count."""
-    return max(1, 16384 // params.config.output_size**2)
+    return max(1, 8192 // params.config.output_size**2)
 
 
 def cmd_synth(args) -> int:
@@ -174,24 +175,27 @@ def cmd_interpolate(args) -> int:
         raise ValueError(f"need at least 2 steps to span two textures, got {steps}")
     if a == b:
         raise ValueError(f"--from and --to both name texture {a}")
+    m = params.config.textures
+    for texture in (a, b):
+        if not 1 <= texture <= m:
+            raise ValueError(f"texture id {texture} out of range 1..{m}")
     # One shared noise draw: the first vector of the synth stream, so the
     # endpoint images are bit-identical to `synth --texture {a,b}` sample 0.
     noise = sample_noise(params.config, stream(args.seed, "noise"))
-    # every selection is checked before the first image is written
-    selections = []
-    for i in range(steps):
-        weight = 1.0 - i / (steps - 1)
-        bits = [(a, weight), (b, 1.0 - weight)]
-        selections.append(
-            weighted_selection(params.config.textures, [(t, w) for t, w in bits if w > 0.0])
-        )
-    names = [f"interp{a}to{b}_s{args.seed}_{i}.png" for i in range(steps)]
     rows = _batch_rows(params)
-    written = []
+    first = None
     for k in range(0, steps, rows):
-        images = [generate(params, selection, noise) for selection in selections[k : k + rows]]
-        written += _write_images(run, names[k : k + rows], images)
-    print(f"wrote {steps} images sweeping texture {a} to {b}: {written[0]} ...")
+        # image i weighs texture a by 1 - i/(steps-1) and b by the rest,
+        # one selection row per image
+        index = np.arange(k, min(k + rows, steps))
+        weight = 1.0 - index / (steps - 1)
+        weights = np.zeros((index.size, m))
+        weights[:, a - 1], weights[:, b - 1] = weight, 1.0 - weight
+        images = generate(params, SelectionUnit(weights), np.tile(noise, (index.size, 1))).data
+        names = [f"interp{a}to{b}_s{args.seed}_{i}.png" for i in index]
+        paths = _write_images(run, names, images)
+        first = first or paths[0]
+    print(f"wrote {steps} images sweeping texture {a} to {b}: {first} ...")
     return 0
 
 
@@ -263,7 +267,11 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: parsing leaves it unchanged (``--set`` appends to a copy
+    of its default list)."""
     parser = argparse.ArgumentParser(
         prog="texsyn",
         description="Multi-texture synthesis: train, sample, blend, stylize.",

@@ -11,8 +11,10 @@ texture is wanted.
 Each upsample-then-convolve is one ``ad.upsample_conv2d`` at the source
 resolution.  A generator scale's kernel is split by input channel: its
 first part convolves the generator maps, and its guidance part convolves
-the guidance map once, at batch 1; that result is repeated over the batch
-and added.
+the guidance maps.  One selection shared by the batch has its guidance
+convolved once, at batch 1, and repeated over the batch; one selection
+per noise row runs the embedding, the selector stream and the guidance
+convolution at one row per image.
 
 Texture ids are 1-based everywhere: the one-hot selection for texture k
 has bit k set, counting from 1.
@@ -64,14 +66,18 @@ class SynthesisConfig:
 
 @dataclass
 class SelectionUnit:
-    """Finite nonnegative per-texture weights; one-hot during training."""
+    """Finite nonnegative per-texture weights; one-hot during training.
+
+    Weights (M,) are one selection; weights [R, M] are R selections, one
+    per row, which ``generate`` takes with R = 1 or one row per noise row.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1:
-            raise ShapeError(f"selection must be 1-D, got shape {w.shape}")
+        if w.ndim not in (1, 2) or (w.ndim == 2 and w.shape[0] == 0):
+            raise ShapeError(f"selection must be (M,) or [R, M] with R >= 1, got shape {w.shape}")
         if not np.all(np.isfinite(w) & (w >= 0)):
             raise ValueError(f"selection weights must be finite and nonnegative, got {w.tolist()}")
         self.weights = w
@@ -122,33 +128,49 @@ def init_params(config: SynthesisConfig, seed: int) -> ParamSet:
 
 
 def embed(params: ParamSet, selection: SelectionUnit) -> Tensor:
-    """Project the selection onto the embedding rows: e = selection @ E."""
+    """Project the selection onto the embedding rows: e = selection @ E,
+    (d,) for one selection (M,) and [R, d] for selection rows [R, M]."""
     m = params.config.textures
-    if selection.weights.shape != (m,):
-        raise ShapeError(
-            f"selection has shape {selection.weights.shape}, expected ({m},)"
-        )
+    w = selection.weights
+    if w.shape[-1:] != (m,):
+        raise ShapeError(f"selection has shape {w.shape}, expected ({m},) or (R, {m})")
     e_mat = params.tensors["embedding"]
-    sel = Tensor(selection.weights.reshape(1, m), dtype=e_mat.dtype)
-    return ad.reshape(ad.matmul(sel, e_mat), (params.config.embed_dim,))
+    e = ad.matmul(Tensor(w.reshape(-1, m), dtype=e_mat.dtype), e_mat)
+    return ad.reshape(e, (params.config.embed_dim,)) if w.ndim == 1 else e
 
 
 def seed_maps(noise: Tensor, embedding: Tensor) -> Tensor:
-    """Outer products of noise [N,n] (or one vector (n,)) and the embedding (d,)
-    as N batches of n*d separate 1x1 maps: [N, n*d, 1, 1]."""
-    n, d = noise.shape[-1], embedding.size
+    """Outer products of noise [N,n] (or one vector (n,)) and the embedding
+    (d,), or [1,d], or of each noise row and its own embedding row [N,d], as
+    N batches of n*d separate 1x1 maps: [N, n*d, 1, 1].
+
+    Either way entry (i, a·d + b) is the one rounded product
+    noise[i, a]·e[i, b], so a row's maps do not depend on the rows beside it.
+    """
+    n, d = noise.shape[-1], embedding.shape[-1]
     batch = noise.size // n
-    out = ad.matmul(ad.reshape(noise, (batch * n, 1)), ad.reshape(embedding, (1, d)))
+    if embedding.size == d:
+        out = ad.matmul(ad.reshape(noise, (batch * n, 1)), ad.reshape(embedding, (1, d)))
+    else:
+        # flat entry (i·n + a)·d + b takes noise entry i·n + a and embedding entry i·d + b
+        flat = np.arange(batch * n * d)
+        out = ad.mul(
+            ad.take_rows(ad.reshape(noise, (batch * n,)), flat // d),
+            ad.take_rows(ad.reshape(embedding, (batch * d,)), flat // (n * d) * d + flat % d),
+        )
     return ad.reshape(out, (batch, n * d, 1, 1))
 
 
 def selector_guidance(params: ParamSet, embedding: Tensor) -> list:
-    """One guidance map [1,gc,s,s] per scale, sized to match the generator there."""
+    """One guidance map [R,gc,s,s] per scale, sized to match the generator
+    there, for embedding rows [R,d]; one embedding (d,) gives R = 1."""
     c = params.config
     t = params.tensors
-    x = ad.matmul(ad.reshape(embedding, (1, c.embed_dim)), t["selector.proj"])
-    x = ad.add(x, ad.reshape(t["selector.proj_bias"], (1,) + t["selector.proj_bias"].shape))
-    x = ad.leaky_relu(ad.reshape(x, (1, c.guidance_channels, c.base_size, c.base_size)))
+    rows = embedding.size // c.embed_dim
+    x = ad.matmul(ad.reshape(embedding, (rows, c.embed_dim)), t["selector.proj"])
+    bias = ad.reshape(t["selector.proj_bias"], (1,) + t["selector.proj_bias"].shape)
+    x = ad.add(x, bias if rows == 1 else ad.repeat_batch(bias, rows))
+    x = ad.leaky_relu(ad.reshape(x, (rows, c.guidance_channels, c.base_size, c.base_size)))
     maps = []
     for s in range(1, c.scales + 1):
         x = ad.leaky_relu(
@@ -167,12 +189,16 @@ def generate(
     """Synthesize images in [-1,1]; pure in all arguments.
 
     One noise vector (noise_dim,) gives one image [3,S,S]; a batch of
-    noise [N,noise_dim] gives [N,3,S,S].  The embedding and the selector
-    stream run once per call and are repeated over the batch.  With
-    ``use_selector`` off (an ablation) the guidance term is dropped, as if
-    the guidance maps were zeros: the generator stream receives no texture
-    information beyond the seed maps, and the selector weights get no
-    gradient.
+    noise [N,noise_dim] gives [N,3,S,S].  A selection (M,) or [1, M] is
+    shared by every row: the embedding and the selector stream run once
+    per call and are repeated over the batch.  A selection [N, M] gives
+    row i its own selection row, and they run at N rows.  Either way row i
+    equals the single call with row i's noise and selection, bit for bit in
+    float32 wherever BLAS's matrix-matrix and matrix-vector products agree
+    (at the default sizes they do).  With ``use_selector`` off (an ablation) the guidance term is
+    dropped, as if the guidance maps were zeros: the generator stream
+    receives no texture information beyond the seed maps, and the selector
+    weights get no gradient.
     """
     c = params.config
     t = params.tensors
@@ -184,6 +210,9 @@ def generate(
             f"noise has shape {noise.shape}, expected ({c.noise_dim},) or (N, {c.noise_dim})"
         )
     batch = noise.size // c.noise_dim
+    rows = selection.weights.shape[0] if selection.weights.ndim == 2 else 1
+    if rows not in (1, batch):
+        raise ShapeError(f"selection has {rows} rows for {batch} noise rows; expected 1 or {batch}")
     e = embed(params, selection)
     x = ad.full_conv2d(seed_maps(noise, e), t["seed.kernel"])
     x = ad.leaky_relu(x)
@@ -193,7 +222,7 @@ def generate(
         y = ad.upsample_conv2d(x, ad.slice_channels(kernel, 0, cx), t[f"scale{s}.bias"])
         if guidance:
             g = ad.conv2d(guidance[s - 1], ad.slice_channels(kernel, cx, kernel.shape[1]), pad=1)
-            y = ad.add(y, ad.repeat_batch(g, batch))
+            y = ad.add(y, ad.repeat_batch(g, batch) if rows == 1 else g)
         x = ad.leaky_relu(y)
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
     return ad.reshape(x, (3, c.output_size, c.output_size)) if single else x

@@ -124,8 +124,8 @@ def transfer(
     t = params.tensors
     if selection.weights.shape != (c.styles,):
         raise ShapeError(
-            f"selection has {selection.weights.shape[0]} weights, "
-            f"model holds {c.styles} styles"
+            f"selection has shape {selection.weights.shape}, "
+            f"expected ({c.styles},) for a model of {c.styles} styles"
         )
     if content.data.ndim != 3 or content.shape[0] != 3:
         raise ShapeError(f"content must be [3,H,W], got shape {content.shape}")

@@ -120,8 +120,8 @@ def default_model(tmp):
     save_model(params, str(tmp / "synthesis.model"))
 
 
-# a 32x32 model renders batches of at most 16384 // 32**2 = 16 rows
-@pytest.mark.parametrize("samples, rows", [(1, [1]), (3, [3]), (17, [16, 1])], ids=["1", "3", "17"])
+# a 32x32 model renders batches of at most 8192 // 32**2 = 8 rows
+@pytest.mark.parametrize("samples, rows", [(1, [1]), (3, [3]), (17, [8, 8, 1])], ids=["1", "3", "17"])
 def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatch, samples, rows):
     from texsyn import cli
     from texsyn.generator import generate, load_model, one_hot, sample_noise
@@ -178,6 +178,34 @@ def test_interpolate_memory_stays_bounded_in_the_step_count(workspace):
         tracemalloc.stop()
     # holding all 256 images until the end peaks near 5 MB
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_interpolate_renders_batches_equal_to_single_selection_calls(workspace, monkeypatch):
+    from texsyn import cli
+    from texsyn.generator import generate, load_model, sample_noise, weighted_selection
+    from texsyn.images import denormalize, save_image
+    from texsyn.rng import stream
+
+    tmp, cfg = workspace
+    default_model(tmp)
+    batches = []
+
+    def spy(params, selection, noise):
+        batches.append((selection.weights.shape, noise.shape))
+        return generate(params, selection, noise)
+
+    monkeypatch.setattr(cli, "generate", spy)
+    assert run("interpolate", "--seed", "6", "--config", cfg, "--from", "2", "--to", "1", "--steps", "17") == 0
+    params = load_model(str(tmp / "synthesis.model"))
+    m, n = params.config.textures, params.config.noise_dim
+    # one selection row per image, in batches of at most 8 rows at 32x32
+    assert batches == [((rows, m), (rows, n)) for rows in (8, 8, 1)]
+    noise = sample_noise(params.config, stream(6, "noise"))
+    for i in range(17):
+        weight = 1.0 - i / 16
+        single = generate(params, weighted_selection(m, [(2, weight), (1, 1.0 - weight)]), noise)
+        save_image(denormalize(single), str(tmp / f"single{i}.png"))
+        assert sha(tmp / f"interp2to1_s6_{i}.png") == sha(tmp / f"single{i}.png")
 
 
 def test_interpolate_endpoints_match_one_hot_synthesis(workspace):
@@ -309,6 +337,27 @@ def test_bad_image_request_is_a_user_error_writing_nothing(workspace, capsys, ar
     assert run(argv[0], "--seed", "1", "--config", cfg, *argv[1:]) == 1
     assert sorted(os.listdir(tmp)) == before
     assert "error:" in capsys.readouterr().err
+
+
+def test_consecutive_calls_parse_independently(workspace, capsys):
+    from texsyn.cli import build_parser
+
+    tmp, cfg = workspace
+    default_model(tmp)
+    (tmp / "other").mkdir()
+    synth = ["synth", "--config", cfg, "--texture", "1"]
+    assert run(*synth, "--seed", "1", "--set", f"paths.output_dir={tmp}/other") == 0
+    assert run(*synth, "--seed", "2") == 0
+    # the first call's --set did not carry over into the second
+    assert os.listdir(tmp / "other") == ["tex1_s1_0.png"]
+    assert (tmp / "tex1_s2_0.png").exists()
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["synth", "--seed", "3", "--texture", "1"]).overrides == []
+    # a usage error still exits 1 after a successful call, and a good call then succeeds
+    assert run(*synth, "--seed", "x") == 1
+    assert run("synth", "--texture", "1") == 1
+    assert run(*synth, "--seed", "3") == 0
+    capsys.readouterr()
 
 
 def test_exit_code_for_missing_seed(workspace, capsys):

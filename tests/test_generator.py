@@ -246,12 +246,85 @@ def test_model_shape_mismatch_rejected(params, tmp_path):
         load_model(path)
 
 
-def test_selection_unit_rejects_negative_and_matrix():
+def test_selection_unit_rejects_negative_weights_and_other_shapes():
     for bad in (-0.5, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             SelectionUnit(np.array([0.5, bad]))
-    with pytest.raises(ShapeError):
-        SelectionUnit(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SelectionUnit(np.array([[0.5, 0.5], [0.5, bad]]))
+    for shape in [(), (2, 2, 2), (0, 2)]:
+        with pytest.raises(ShapeError):
+            SelectionUnit(np.ones(shape))
+    assert SelectionUnit(np.ones((2, 3))).weights.shape == (2, 3)
+
+
+@pytest.fixture(scope="module")
+def params64():
+    from helpers import randomized
+
+    return randomized(init_params(CFG, seed=42), np.float64, seed=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_per_row_selection_rows_equal_single_calls(params, params64, dtype, n, seed, use_selector):
+    """Row i of a render with one selection row per noise row equals the
+    single call with row i's noise and selection: bit for bit in float32,
+    within 1e-12 of the largest magnitude in float64.
+
+    The single call's [1, k] @ [k, m] products (embedding, selector
+    projection, seed expansion) run as BLAS matrix-vector products and the
+    batch's as one matrix-matrix product.  In float64 the two kernels add in
+    different orders; in float32 they agree at these shapes (not at every
+    shape: with 4 textures the embedding rows differ in the last bit)."""
+    p = params if dtype == np.float32 else params64
+    g = np.random.default_rng(seed)
+    weights = g.uniform(0, 1, (n, CFG.textures))
+    draws = g.uniform(-1, 1, (n, CFG.noise_dim))
+    batch = generate(p, SelectionUnit(weights), draws, use_selector=use_selector).data
+    assert batch.shape == (n, 3, CFG.output_size, CFG.output_size) and batch.dtype == dtype
+    for i in range(n):
+        single = generate(p, SelectionUnit(weights[i]), draws[i], use_selector=use_selector).data
+        if dtype == np.float32:
+            np.testing.assert_array_equal(batch[i], single)
+        else:
+            assert np.max(np.abs(batch[i] - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)], ids=["float32", "float64"])
+@pytest.mark.parametrize("use_selector", [True, False])
+def test_per_row_selection_gradients_equal_summed_single_gradients(params, params64, dtype, tol, use_selector):
+    p = params if dtype == np.float32 else params64
+    g = np.random.default_rng(2)
+    weights = g.uniform(0, 1, (3, CFG.textures))
+    draws = g.uniform(-1, 1, (3, CFG.noise_dim))
+    leaves = p.parameters()
+    batched = backward(generate(p, SelectionUnit(weights), draws, use_selector=use_selector).sum(), leaves)
+    singles = [
+        backward(generate(p, SelectionUnit(w), z, use_selector=use_selector).sum(), leaves)
+        for w, z in zip(weights, draws)
+    ]
+    for name, grad, *rows in zip(p.tensors, batched, *singles):
+        summed = sum(rows)
+        scale = max(np.max(np.abs(summed)), 1e-30)
+        assert np.max(np.abs(grad - summed)) <= tol * scale, name
+
+
+def test_per_row_selection_shape_errors(params):
+    draws = np.zeros((3, CFG.noise_dim))
+    for rows in (2, 4):
+        with pytest.raises(ShapeError, match="rows"):
+            generate(params, SelectionUnit(np.ones((rows, CFG.textures))), draws)
+    with pytest.raises(ShapeError, match="rows"):
+        generate(params, SelectionUnit(np.ones((3, CFG.textures))), draws[0])
+    for width in (CFG.textures - 1, CFG.textures + 1):
+        for shape in [(width,), (1, width), (3, width)]:
+            with pytest.raises(ShapeError):
+                generate(params, SelectionUnit(np.ones(shape)), draws)
+    # a single row [1, M] is shared by the batch like (M,)
+    shared = generate(params, SelectionUnit(np.ones((1, CFG.textures))), draws).data
+    np.testing.assert_array_equal(shared, generate(params, SelectionUnit(np.ones(CFG.textures)), draws).data)
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])

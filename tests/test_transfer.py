@@ -154,6 +154,9 @@ def test_interpolate_validation(params):
 def test_selection_length_checked(params):
     with pytest.raises(ShapeError):
         transfer(params, content_image(), SelectionUnit(np.ones(3)), np.random.default_rng(0))
+    # per-row selections are the generator's; a transfer takes one selection
+    with pytest.raises(ShapeError):
+        transfer(params, content_image(), SelectionUnit(np.ones((1, 2))), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

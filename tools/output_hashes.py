@@ -15,6 +15,9 @@ on where OUT is:
 - ``synth --texture 2 --samples 3``, ``interpolate --from 1 --to 3
   --steps 4``, ``transfer --content exemplar2.png`` with ``--style 2``
   and with ``--mix 1:0.3,2:0.7``;
+- ``synth --texture 1 --samples 20`` and ``interpolate --from 3 --to 2
+  --steps 20``: at 32x32 both render more than one batch, so the bytes
+  cover where the batches split;
 - ``oracle --target exemplar1.png --steps 20`` (noise init), and with
   ``--init exemplar2.png --steps 5 --out o2.png --trace t2.csv``;
 - ``defaults`` and ``gradcheck --seed 0``.
@@ -53,6 +56,8 @@ COMMANDS = (
     ["train", "--transfer", "--resize", "32", "--log-every", "2", "--set", "paths.log=transfer_log.csv"],
     ["synth", "--texture", "2", "--samples", "3"],
     ["interpolate", "--from", "1", "--to", "3", "--steps", "4"],
+    ["synth", "--texture", "1", "--samples", "20"],
+    ["interpolate", "--from", "3", "--to", "2", "--steps", "20"],
     ["transfer", "--content", "exemplar2.png", "--style", "2"],
     ["transfer", "--content", "exemplar2.png", "--mix", "1:0.3,2:0.7"],
     ["oracle", "--target", "exemplar1.png", "--steps", "20"],
