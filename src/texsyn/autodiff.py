@@ -370,27 +370,6 @@ def batch_gram(x: Tensor) -> Tensor:
     return _result(x.data @ x.data.transpose(0, 2, 1), (x,), grad_fn, "batch_gram")
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype("concat_channels", a, b)
-    if a.data.ndim != 4 or b.data.ndim != 4:
-        raise ShapeError(
-            f"concat_channels: expected rank-4 tensors, got {a.shape} and {b.shape}"
-        )
-    na, ca, ha, wa = a.shape
-    nb, cb, hb, wb = b.shape
-    if (na, ha, wa) != (nb, hb, wb):
-        raise ShapeError(
-            f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}"
-        )
-
-    def grad_fn(g):
-        return g[:, :ca], g[:, ca:]
-
-    return _result(
-        np.concatenate([a.data, b.data], axis=1), (a, b), grad_fn, "concat_channels"
-    )
-
-
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     """Channels ``start:stop`` of [N,C,...]; backward places g there among zeros."""
     start, stop = int(start), int(stop)

@@ -75,10 +75,11 @@ def _load_exemplars(paths, resize: int | None = None) -> list:
     return [normalize(b) for b in buffers]
 
 
-def _out_path(run: cfg.RunConfig, name: str) -> str:
+def _output_dir(run: cfg.RunConfig) -> str:
+    """``paths.output_dir``, created if missing: once per command, not per file."""
     directory = run.get("paths.output_dir")
     os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, name)
+    return directory
 
 
 def cmd_train(args) -> int:
@@ -132,11 +133,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_images(run: cfg.RunConfig, names: list, images) -> list:
+def _write_images(directory: str, names: list, images) -> list:
     """Save each [3,S,S] image in [-1,1] under its file name; returns the paths."""
     written = []
     for name, image in zip(names, images):
-        path = _out_path(run, name)
+        path = os.path.join(directory, name)
         save_image(denormalize(image), path)
         written.append(path)
     return written
@@ -159,10 +160,10 @@ def cmd_synth(args) -> int:
     names = [f"tex{args.texture}_s{args.seed}_{k}.png" for k in range(args.samples)]
     # rows equal single-sample calls bit for bit
     rows = _batch_rows(params)
-    written = []
+    directory, written = _output_dir(run), []
     for k in range(0, args.samples, rows):
         batch = generate(params, selection, noise[k : k + rows]).data
-        written += _write_images(run, names[k : k + rows], batch)
+        written += _write_images(directory, names[k : k + rows], batch)
     print(f"wrote {len(written)} images: {', '.join(written)}")
     return 0
 
@@ -183,7 +184,7 @@ def cmd_interpolate(args) -> int:
     # endpoint images are bit-identical to `synth --texture {a,b}` sample 0.
     noise = sample_noise(params.config, stream(args.seed, "noise"))
     rows = _batch_rows(params)
-    first = None
+    directory, first = _output_dir(run), None
     for k in range(0, steps, rows):
         # image i weighs texture a by 1 - i/(steps-1) and b by the rest,
         # one selection row per image
@@ -193,7 +194,7 @@ def cmd_interpolate(args) -> int:
         weights[:, a - 1], weights[:, b - 1] = weight, 1.0 - weight
         images = generate(params, SelectionUnit(weights), np.tile(noise, (index.size, 1))).data
         names = [f"interp{a}to{b}_s{args.seed}_{i}.png" for i in index]
-        paths = _write_images(run, names, images)
+        paths = _write_images(directory, names, images)
         first = first or paths[0]
     print(f"wrote {steps} images sweeping texture {a} to {b}: {first} ...")
     return 0
@@ -219,7 +220,7 @@ def cmd_transfer(args) -> int:
     rng = stream(args.seed, "transfer-noise")
     image = interpolate_styles(params, normalize(content), pairs, rng)
     tag = "mix" if args.mix else str(args.style)
-    path = _out_path(run, f"styled{tag}_s{args.seed}.png")
+    path = os.path.join(_output_dir(run), f"styled{tag}_s{args.seed}.png")
     save_image(denormalize(image), path)
     print(f"wrote {path}")
     return 0
@@ -239,9 +240,10 @@ def cmd_oracle(args) -> int:
     image, losses = pixel_optimize(
         extractor, target, init, steps=args.steps, lr=args.lr
     )
-    out = _out_path(run, args.out)
+    directory = _output_dir(run)
+    out = os.path.join(directory, args.out)
     save_image(denormalize(Tensor(image)), out)
-    trace = _out_path(run, args.trace)
+    trace = os.path.join(directory, args.trace)
     lines = ["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(losses)]
     atomic_write_bytes(trace, ("\n".join(lines) + "\n").encode())
     print(

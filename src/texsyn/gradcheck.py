@@ -110,10 +110,6 @@ def _primitive_cases(rng):
             lambda a, w: ad.mul(ad.take_rows(a, [2, 0, 2, 1]), w).sum(),
             [arr(3, 2, 2), arr(4, 2, 2)],
         ),
-        "concat_channels": lambda: (
-            lambda a, b: ad.concat_channels(a, b).sum(),
-            [arr(1, 2, 3, 3), arr(1, 3, 3, 3)],
-        ),
         "slice_channels": lambda: (
             lambda a, w: ad.mul(ad.slice_channels(a, 1, 3), w).sum(),
             [arr(2, 4, 2, 2), arr(2, 2, 2, 2)],

@@ -2,11 +2,20 @@
 
 The network is a fully convolutional autoencoder.  Two stride-2
 convolutions compress the content image; at the bottleneck, one 1-channel
-noise map per style is concatenated.  Selecting a style means sampling
-that style's map at random while every other map stays zero; blending
-styles feeds a weighted sum of freshly sampled maps.  The decoder mirrors
-the encoder with nearest-neighbor upsampling (``ad.upsample_conv2d``), so
-output size always equals content size.
+noise map per style conditions the first decoder convolution ``dec1``.
+Selecting a style means sampling that style's map at random while every
+other map stays zero; blending styles feeds a weighted sum of freshly
+sampled maps.  The decoder mirrors the encoder with nearest-neighbor
+upsampling (``ad.upsample_conv2d``), so output size always equals content
+size.
+
+``dec1``'s kernel reads the encoder's channels first and the noise maps
+after them, as if the two were concatenated.  A convolution is a sum over
+input channels, so it splits by kernel block, as the generator's guidance
+does: the content block (with the bias) convolves the encoder output once
+at batch 1, is repeated over the samples, and is added to the noise
+block's convolution of the per-sample noise maps.  That is the
+convolution of the concatenation, and model files keep its one kernel.
 
 Training reuses the texture machinery: the same loop and schedule
 (``trainer.fit``) and the same batch objective (``trainer.batch_losses``):
@@ -116,9 +125,9 @@ def transfer(
 
     Differentiable in params.  The selection's noise maps join the encoder
     output at the bottleneck.  By default one image [3,H,W] comes out;
-    with ``samples=n`` the content is encoded once, its bottleneck repeated
-    n times, and n noise-map sets drawn from ``rng`` in turn give
-    [n,3,H,W].
+    with ``samples=n`` the content is encoded and its ``dec1`` block
+    convolved once, that map repeated n times, and n noise-map sets drawn
+    from ``rng`` in turn give [n,3,H,W].
     """
     c = params.config
     t = params.tensors
@@ -142,8 +151,10 @@ def transfer(
     x = ad.reshape(content, (1,) + content.shape)
     for i in range(1, len(c.enc_widths) + 1):
         x = ad.leaky_relu(ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1))
-    x = ad.concat_channels(ad.repeat_batch(x, batch), Tensor(noise, dtype=x.dtype))
-    x = ad.leaky_relu(ad.conv2d(x, t["dec1.kernel"], t["dec1.bias"], pad=1))
+    kernel, cx = t["dec1.kernel"], c.enc_widths[-1]
+    y = ad.conv2d(x, ad.slice_channels(kernel, 0, cx), t["dec1.bias"], pad=1)
+    z = ad.conv2d(Tensor(noise, dtype=x.dtype), ad.slice_channels(kernel, cx, kernel.shape[1]), pad=1)
+    x = ad.leaky_relu(ad.add(ad.repeat_batch(y, batch), z))
     for i in range(2, len(c.dec_widths) + 1):
         x = ad.leaky_relu(ad.upsample_conv2d(x, t[f"dec{i}.kernel"], t[f"dec{i}.bias"]))
     x = ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))

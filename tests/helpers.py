@@ -1,5 +1,5 @@
 """Deterministic synthetic exemplar textures for tests, one loss oracle,
-the networks' upsample-then-convolve forms as references, a
+the networks' upsample-concatenate-convolve forms as references, a
 byte-mutation strategy for fuzzing file loaders, a saved-loss-log reader
 and a recorder of the gradients ``Adam.step`` is given.
 
@@ -168,6 +168,16 @@ def upsample_nearest(x: Tensor) -> Tensor:
     return ad._result(x.data.repeat(2, axis=2).repeat(2, axis=3), (x,), grad_fn, "upsample_nearest")
 
 
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+    """[N,Ca,H,W] and [N,Cb,H,W] joined along channels; backward splits g."""
+    ca = a.shape[1]
+
+    def grad_fn(g):
+        return g[:, :ca], g[:, ca:]
+
+    return ad._result(np.concatenate([a.data, b.data], axis=1), (a, b), grad_fn, "concat_channels")
+
+
 def reference_generate(params: ParamSet, selection, noise: np.ndarray, use_selector: bool = True) -> Tensor:
     """``generator.generate`` of noise [N, noise_dim] as upsample, concat and
     full-resolution conv2d, each guidance map repeated over the batch and
@@ -188,14 +198,15 @@ def reference_generate(params: ParamSet, selection, noise: np.ndarray, use_selec
             guide = g
         else:
             guide = Tensor(np.zeros((1, c.guidance_channels) + x.shape[2:]), dtype=x.dtype)
-        x = ad.concat_channels(x, ad.repeat_batch(guide, batch))
+        x = concat_channels(x, ad.repeat_batch(guide, batch))
         x = ad.leaky_relu(ad.conv2d(x, t[f"scale{s}.kernel"], t[f"scale{s}.bias"], pad=1))
     return ad.tanh(ad.conv2d(x, t["rgb.kernel"], t["rgb.bias"], pad=1))
 
 
 def reference_transfer(params: ParamSet, content: Tensor, selection, rng, samples: int) -> Tensor:
-    """``transfer.transfer(..., samples=n)`` with its decoder as upsample
-    then full-resolution conv2d: [n,3,H,W]."""
+    """``transfer.transfer(..., samples=n)`` with the noise maps concatenated
+    to the repeated encoder output, and its decoder as upsample then
+    full-resolution conv2d: [n,3,H,W]."""
     c, t = params.config, params.tensors
     h, w = content.shape[1:]
     s = c.stride
@@ -205,7 +216,7 @@ def reference_transfer(params: ParamSet, content: Tensor, selection, rng, sample
     x = ad.reshape(content, (1,) + content.shape)
     for i in range(1, len(c.enc_widths) + 1):
         x = ad.leaky_relu(ad.conv2d(x, t[f"enc{i}.kernel"], t[f"enc{i}.bias"], stride=2, pad=1))
-    x = ad.concat_channels(ad.repeat_batch(x, samples), Tensor(noise, dtype=x.dtype))
+    x = concat_channels(ad.repeat_batch(x, samples), Tensor(noise, dtype=x.dtype))
     for i in range(1, len(c.dec_widths) + 1):
         if i > 1:
             x = upsample_nearest(x)

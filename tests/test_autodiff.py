@@ -503,9 +503,7 @@ def test_batch_op_shape_errors():
         ad.center(Tensor(np.ones(3)))
 
 
-def test_grad_concat_slice_pool():
-    a, b = arr(1, 2, 3, 3), arr(1, 3, 3, 3)
-    check_grads(lambda x, y: ad.concat_channels(x, y).sum(), [a, b])
+def test_grad_slice_pool():
     w = Tensor(arr(2, 2, 3, 3), dtype=CHECK_DTYPE)
     check_grads(lambda x: ad.mul(ad.slice_channels(x, 1, 3), w).sum(), [arr(2, 4, 3, 3)])
     check_grads(lambda x: ad.avg_pool2(x).sum(), [arr(1, 2, 4, 4)])
@@ -678,8 +676,6 @@ def test_shape_errors():
         ad.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
     with pytest.raises(ShapeError):
         ad.avg_pool2(Tensor(np.ones((1, 1, 3, 4))))
-    with pytest.raises(ShapeError):
-        ad.concat_channels(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
     with pytest.raises(ShapeError, match="1x1"):
         ad.full_conv2d(Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((2, 3, 4, 4))))
 

@@ -147,37 +147,69 @@ def test_synth_renders_one_batch_equal_to_per_sample_calls(workspace, monkeypatc
         assert sha(tmp / f"tex2_s6_{k}.png") == sha(tmp / f"single{k}.png")
 
 
-def test_synth_memory_stays_bounded_in_the_sample_count(workspace):
-    import tracemalloc
+# tracemalloc's peak of one CLI command, in a fresh interpreter: in the test
+# process, memory gathered by earlier tests (numpy's lazily grown internals
+# among it) lands inside the traced window or not depending on test order.
+# The command first runs untraced with its last argument, the image count,
+# set to ``warm_up``, so one-time costs (lazy imports of numpy.random and
+# locale, first-use buffers) stay out of the measure.
+MEASURE_PEAK = """
+import sys, tracemalloc
+from texsyn.cli import main
+assert main(sys.argv[2:-1] + [sys.argv[1]]) == 0
+tracemalloc.start()
+code = main(sys.argv[2:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
 
+
+def peak_of_command(warm_up: int, *argv) -> int:
+    import subprocess
+    import sys
+
+    import texsyn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(texsyn.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURE_PEAK, str(warm_up), *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, peak = done.stdout.split()[-2:]
+    assert code == "0"
+    return int(peak)
+
+
+def test_synth_memory_stays_bounded_in_the_sample_count(workspace):
     tmp, cfg = workspace
     default_model(tmp)
-    tracemalloc.start()
-    try:
-        assert run("synth", "--seed", "6", "--config", cfg, "--texture", "1", "--samples", "64") == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_of_command(1, "synth", "--seed", "6", "--config", cfg, "--texture", "1", "--samples", "64")
     # one batch of all 64 rows peaks near 24 MB
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_interpolate_memory_stays_bounded_in_the_step_count(workspace):
-    import tracemalloc
-
     tmp, cfg = workspace
     default_model(tmp)
-    tracemalloc.start()
-    try:
-        assert run(
-            "interpolate", "--seed", "6", "--config", cfg,
-            "--from", "1", "--to", "2", "--steps", "256",
-        ) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_of_command(
+        2, "interpolate", "--seed", "6", "--config", cfg, "--from", "1", "--to", "2", "--steps", "256"
+    )
     # holding all 256 images until the end peaks near 5 MB
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_synth_creates_the_output_directory_once(workspace, monkeypatch):
+    tmp, cfg = workspace
+    default_model(tmp)
+    calls = []
+    real = os.makedirs
+    monkeypatch.setattr(os, "makedirs", lambda *a, **k: calls.append(a) or real(*a, **k))
+    out = tmp / "out"
+    assert run(
+        "synth", "--seed", "6", "--config", cfg, "--texture", "1", "--samples", "20",
+        "--set", f"paths.output_dir={out}",
+    ) == 0
+    assert calls == [(str(out),)]
+    assert len(os.listdir(out)) == 20
 
 
 def test_interpolate_renders_batches_equal_to_single_selection_calls(workspace, monkeypatch):

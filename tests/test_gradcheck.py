@@ -1,5 +1,7 @@
 """The gradient checker must bless correct gradients and flag wrong ones."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,33 @@ from texsyn.gradcheck import (
     run_all,
 )
 
-# Differentiable operations the checker is contractually required to cover.
-REQUIRED_OPS = {
-    "add", "sub", "mul", "scale", "relu", "leaky_relu", "tanh", "reshape",
-    "sum", "l1_norm", "matmul", "batch_gram", "center", "repeat_batch", "take_rows",
-    "concat_channels", "slice_channels", "avg_pool2", "conv2d", "upsample_conv2d", "full_conv2d",
-}
+
+def _differentiable_ops() -> set:
+    """Every public ``autodiff`` function that returns a Tensor, plus ``Tensor.sum``."""
+    ops = {"sum"}
+    for name, fn in vars(ad).items():
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        if inspect.get_annotations(fn, eval_str=True).get("return") is Tensor:
+            ops.add(name)
+    return ops
+
+
+# Differentiable operations the checker is required to cover: an op added to
+# autodiff without a gradcheck case fails
+# test_primitives_all_pass_and_cover_every_op.
+REQUIRED_OPS = _differentiable_ops()
+
+
+def test_required_ops_follow_the_module(monkeypatch):
+    assert {"conv2d", "upsample_conv2d", "slice_channels", "sum"} <= REQUIRED_OPS
+    assert "backward" not in REQUIRED_OPS  # returns gradients, not a Tensor
+
+    def twice(x: Tensor) -> Tensor:
+        return ad.scale(x, 2.0)
+
+    monkeypatch.setattr(ad, "twice", twice, raising=False)
+    assert "twice" in _differentiable_ops()
 
 
 def test_central_diff_matches_polynomial():

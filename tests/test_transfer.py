@@ -91,6 +91,40 @@ def test_samples_equal_single_calls_on_one_stream(params, samples):
         np.testing.assert_array_equal(batch.data[i], transfer(params, c, mix, rng).data)
 
 
+def test_encoder_output_is_convolved_once_per_call(params, monkeypatch):
+    # dec1's content block runs at batch 1 and is repeated over the samples;
+    # only its noise block sees the per-sample batch
+    from texsyn import autodiff as ad
+
+    calls = []
+    real = ad.conv2d
+
+    def spy(input, kernel, bias=None, stride=1, pad=0):
+        out = real(input, kernel, bias, stride=stride, pad=pad)
+        calls.append((input, stride, out))
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", spy)
+    out = transfer(params, content_image(), one_hot(1), np.random.default_rng(0), samples=4)
+    assert out.shape == (4, 3, 32, 32)
+    conv_outputs = {id(o) for _, _, o in calls}
+    encoded = [o for _, stride, o in calls if stride == 2][-1]
+
+    def reads_encoder(t):
+        # the encoder output, i.e. the leaky_relu of the last stride-2 conv,
+        # reached from t without passing through another convolution
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u._op == "leaky_relu" and u._parents == (encoded,):
+                return True
+            stack.extend(q for q in u._parents if id(q) not in conv_outputs)
+        return False
+
+    readers = [input.shape for input, _, _ in calls if reads_encoder(input)]
+    assert readers == [(1, NET.enc_widths[-1], 8, 8)]
+
+
 def test_samples_must_be_positive(params):
     with pytest.raises(ValueError):
         transfer(params, content_image(), one_hot(1), np.random.default_rng(0), samples=0)
