@@ -4,7 +4,9 @@ The codec is self-contained on top of zlib: it reads 8-bit grayscale,
 RGB, and their alpha variants (alpha is dropped, grayscale replicated to
 three channels) and writes 8-bit RGB.  Parse failures report the byte
 offset where the file stopped making sense, so truncation and corruption
-are distinguishable.
+are distinguishable.  Row filters are undone one anti-diagonal of pixels at
+a time (see ``_unfilter``), H + W - 1 numpy steps for an HxW image, with
+no per-byte Python loop.
 
 Pixels map to tensors by x = 2*(p/255) - 1, so 0 -> -1.0 and 255 -> +1.0.
 The inverse clamps to [-1, 1] and quantizes with round-half-up; the
@@ -127,7 +129,7 @@ def load_image(path: str) -> ImageBuffer:
     # takes the limit as a C ssize_t, which header sizes can overflow
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
+        raw = inflater.decompress(idat, min(expected + 1, sys.maxsize))
     except zlib.error as e:
         raise PngError(f"corrupt image data: {e}", idat_offset) from None
     if len(raw) != expected or not inflater.eof:
@@ -147,54 +149,73 @@ def load_image(path: str) -> ImageBuffer:
 
 
 def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
-    """Undo the per-row filters of a decompressed stream of (1 + stride)-byte rows."""
+    """Undo the per-row filters of a decompressed stream of (1 + stride)-byte rows.
+
+    Decodes one anti-diagonal t = y + x of pixels per step.  Every filter
+    predicts a byte from at most its left (y, x-1), up (y-1, x) and
+    up-left (y-1, x-1) neighbours, which lie on diagonals t-1 and t-2, so
+    all rows that diagonal t crosses decode at once, each by its own
+    filter type.  Types 0-3 predict ``(wa*left + wb*up) >> s`` with 0/1
+    weights per row; the Paeth predictor is computed only on diagonals that
+    cross a Paeth row.
+
+    Cost: W + H - 1 steps for a W-pixel-wide image of H rows, about six
+    numpy operations on min(W, H) rows each, and a dozen more on Paeth
+    diagonals.  Diagonals t-1 and t-2 live channel-major in two
+    [bpp, 1 + H] buffers; column 0 stands for row -1 and stays zero, and
+    so does every x = -1 entry, which no step has written yet when it is
+    read.  Each output byte is stored once, through a strided view of the
+    diagonals.  Every filter type is checked before decoding, so the first
+    bad row is the one named.
+    """
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        ftype, line = rows[y, 0], rows[y, 1:]
-        if ftype == 0:
-            out[y] = line
-        elif ftype == 1:  # add left neighbor: a running sum mod 256 per channel
-            out[y] = np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(stride)
-        elif ftype == 2:  # add up neighbor
-            out[y] = line + prev
-        elif ftype in (3, 4):  # mean of left and up; Paeth predictor
-            undo = _unfilter_average if ftype == 3 else _unfilter_paeth
-            out[y] = np.frombuffer(undo(bytearray(line), prev.tobytes(), bpp), dtype=np.uint8)
-        else:
-            raise PngError(
-                f"unknown filter type {ftype} in row {y} of the decompressed stream",
-                y * (stride + 1),
-            )
-        prev = out[y]
+    types = rows[:, 0]
+    bad = np.flatnonzero(types > 4)
+    if bad.size:
+        y = int(bad[0])
+        raise PngError(
+            f"unknown filter type {types[y]} in row {y} of the decompressed stream",
+            y * (stride + 1),
+        )
+    width = stride // bpp
+    steps = width + height - 1
+    out = np.empty((height, stride), dtype=np.uint8)
+    # [diagonal t, channel, row y] views of the output and of the filtered
+    # bytes; every (t, y) with 0 <= t - y < width lies inside the buffer
+    diag_out = np.lib.stride_tricks.as_strided(
+        out, shape=(steps, bpp, height), strides=(bpp, 1, stride - bpp)
+    )
+    diag_raw = np.lib.stride_tricks.as_strided(
+        rows.reshape(-1)[1:], shape=(steps, bpp, height), strides=(bpp, 1, stride + 1 - bpp)
+    )
+    wa = np.isin(types, (1, 3)).astype(np.int16)
+    wb = np.isin(types, (2, 3)).astype(np.int16)
+    shift = (types == 3).astype(np.int16)
+    paeth = types == 4
+    paeth_before = np.concatenate(([0], np.cumsum(paeth)))
+    prev, prev2 = np.zeros((2, bpp, height + 1), dtype=np.uint8)
+    # predictions run on a window of a fixed number of rows that holds the
+    # rows diagonal t crosses: numpy keeps freed buffers under 1 KB per byte
+    # size, so temporaries sized per diagonal would each pin a cache entry
+    span = min(height, width)
+    for t in range(steps):
+        y0, y1 = max(0, t - width + 1), min(height, t + 1)
+        w0 = min(y0, height - span)
+        w1 = w0 + span
+        left, up, up_left = prev[:, w0 + 1 : w1 + 1], prev[:, w0:w1], prev2[:, w0:w1]
+        predicted = (wa[w0:w1] * left + wb[w0:w1] * up) >> shift[w0:w1]
+        if paeth_before[y1] > paeth_before[y0]:
+            da = np.subtract(left, up_left, dtype=np.int16)
+            db = np.subtract(up, up_left, dtype=np.int16)
+            pa, pb, pc = np.abs(db), np.abs(da), np.abs(da + db)
+            nearest = np.where(pa <= np.minimum(pb, pc), left, np.where(pb <= pc, up, up_left))
+            predicted = np.where(paeth[w0:w1], nearest, predicted)
+        # only rows y0..y1-1 are stored: entries for x = -1 must stay zero
+        current = prev2[:, y0 + 1 : y1 + 1]  # diagonal t - 2 is read for the last time
+        np.add(diag_raw[t, :, y0:y1], predicted[:, y0 - w0 : y1 - w0], out=current, casting="unsafe")
+        diag_out[t, :, y0:y1] = current
+        prev, prev2 = prev2, prev
     return out
-
-
-def _unfilter_average(cur: bytearray, prev: bytes, bpp: int) -> bytearray:
-    """Average-filtered row ``cur`` decoded in place on Python ints."""
-    for i in range(bpp):
-        cur[i] = (cur[i] + (prev[i] >> 1)) & 0xFF
-    for i in range(bpp, len(cur)):
-        cur[i] = (cur[i] + ((cur[i - bpp] + prev[i]) >> 1)) & 0xFF
-    return cur
-
-
-def _unfilter_paeth(cur: bytearray, prev: bytes, bpp: int) -> bytearray:
-    """Paeth-filtered row ``cur`` decoded in place on Python ints."""
-    for i in range(bpp):  # left and up-left are 0, so the predictor is up
-        cur[i] = (cur[i] + prev[i]) & 0xFF
-    for i in range(bpp, len(cur)):
-        a, b, c = cur[i - bpp], prev[i], prev[i - bpp]
-        pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
-        if pa <= pb and pa <= pc:
-            predicted = a
-        elif pb <= pc:
-            predicted = b
-        else:
-            predicted = c
-        cur[i] = (cur[i] + predicted) & 0xFF
-    return cur
 
 
 def save_image(buffer: ImageBuffer, path: str) -> None:

@@ -27,11 +27,19 @@ from texsyn.images import (
 )
 
 
-def reference_png(pixels: np.ndarray, color_type: int, filter_type: int = 0) -> bytes:
-    """Minimal independent PNG writer supporting one filter for all rows."""
+def reference_png(pixels: np.ndarray, color_type: int, filter_type=0) -> bytes:
+    """Minimal independent PNG writer.
+
+    ``filter_type`` is one filter for every row, a sequence of one filter
+    per row, or ``"adaptive"``: each row takes the filter whose residuals,
+    read as signed bytes, have the least absolute sum, as photo encoders
+    choose them.
+    """
     h, w, ch = pixels.shape
     sig = b"\x89PNG\r\n\x1a\n"
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+    if isinstance(filter_type, int):
+        filter_type = [filter_type] * h
 
     def chunk(ctype, data):
         return struct.pack(">I", len(data)) + ctype + data + struct.pack(
@@ -42,34 +50,30 @@ def reference_png(pixels: np.ndarray, color_type: int, filter_type: int = 0) -> 
     prev = np.zeros(w * ch, dtype=np.int32)
     for y in range(h):
         line = pixels[y].reshape(-1).astype(np.int32)
-        raw.append(filter_type)
-        if filter_type == 0:
-            enc = line
-        elif filter_type == 1:
-            left = np.concatenate([np.zeros(ch, np.int32), line[:-ch]])
-            enc = line - left
-        elif filter_type == 2:
-            enc = line - prev
-        elif filter_type == 3:
-            left = np.concatenate([np.zeros(ch, np.int32), line[:-ch]])
-            enc = line - (left + prev) // 2
-        elif filter_type == 4:
-            left = np.concatenate([np.zeros(ch, np.int32), line[:-ch]])
-            up_left = np.concatenate([np.zeros(ch, np.int32), prev[:-ch]])
-            pred = np.zeros(w * ch, np.int32)
-            for i in range(w * ch):
-                p = left[i] + prev[i] - up_left[i]
-                pa, pb, pc = abs(p - left[i]), abs(p - prev[i]), abs(p - up_left[i])
-                if pa <= pb and pa <= pc:
-                    pred[i] = left[i]
-                elif pb <= pc:
-                    pred[i] = prev[i]
-                else:
-                    pred[i] = up_left[i]
-            enc = line - pred
-        raw += (enc & 0xFF).astype(np.uint8).tobytes()
+        left = np.concatenate([np.zeros(ch, np.int32), line[:-ch]])
+        up_left = np.concatenate([np.zeros(ch, np.int32), prev[:-ch]])
+        p = left + prev - up_left
+        pa, pb, pc = np.abs(p - left), np.abs(p - prev), np.abs(p - up_left)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, prev, up_left))
+        residuals = [line, line - left, line - prev, line - (left + prev) // 2, line - paeth]
+        residuals = [(r & 0xFF).astype(np.uint8) for r in residuals]
+        if filter_type == "adaptive":
+            f = 1 + int(np.argmin([np.abs(r.view(np.int8).astype(int)).sum() for r in residuals[1:]]))
+        else:
+            f = filter_type[y]
+        raw.append(f)
+        raw += residuals[f].tobytes()
         prev = line
     return sig + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b"")
+
+
+def png_filters(blob: bytes) -> list:
+    """The filter type of every row of a one-IDAT RGB PNG."""
+    width, height = struct.unpack(">II", blob[16:24])
+    at = blob.index(b"IDAT")
+    (length,) = struct.unpack(">I", blob[at - 4 : at])
+    raw = zlib.decompress(blob[at + 4 : at + 4 + length])
+    return list(raw[:: 3 * width + 1])
 
 
 def random_rgb(h=13, w=9, seed=0):
@@ -299,20 +303,44 @@ def per_byte_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndar
     return out
 
 
+def random_stream(filters, stride, seed) -> bytes:
+    """Rows of random filtered bytes, each led by its filter type."""
+    rng = np.random.default_rng(seed)
+    return b"".join(bytes([f]) + rng.integers(0, 256, stride, dtype=np.uint8).tobytes() for f in filters)
+
+
 @given(
     st.sampled_from([0, 2, 4, 6]),
     st.integers(1, 40),
-    st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    st.integers(1, 40),
+    st.lists(st.integers(0, 4), min_size=40, max_size=40),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_unfilter_equals_the_per_byte_decoder(color_type, width, filters, seed):
+def test_unfilter_equals_the_per_byte_decoder(color_type, width, height, filters, seed):
     bpp = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
     stride = width * bpp
-    rng = np.random.default_rng(seed)
-    raw = b"".join(bytes([f]) + rng.integers(0, 256, stride, dtype=np.uint8).tobytes() for f in filters)
-    want = per_byte_unfilter(raw, len(filters), stride, bpp)
-    np.testing.assert_array_equal(_unfilter(raw, len(filters), stride, bpp), want)
+    raw = random_stream(filters[:height], stride, seed)
+    want = per_byte_unfilter(raw, height, stride, bpp)
+    np.testing.assert_array_equal(_unfilter(raw, height, stride, bpp), want)
+
+
+@pytest.mark.parametrize("width, height", [(1, 300), (300, 1), (1, 1)])
+@pytest.mark.parametrize("bpp", [1, 3, 4])
+def test_unfilter_single_row_and_single_column(width, height, bpp):
+    stride = width * bpp
+    raw = random_stream([y % 5 for y in range(height)], stride, seed=width + 7 * height + bpp)
+    np.testing.assert_array_equal(_unfilter(raw, height, stride, bpp), per_byte_unfilter(raw, height, stride, bpp))
+
+
+def test_decode_256x256_with_rows_cycling_through_every_filter(tmp_path):
+    pixels = random_rgb(256, 256, seed=8)
+    filters = [y % 5 for y in range(256)]
+    path = str(tmp_path / "cycle.png")
+    blob = reference_png(pixels, color_type=2, filter_type=filters)
+    assert png_filters(blob) == filters
+    open(path, "wb").write(blob)
+    np.testing.assert_array_equal(load_image(path).data, pixels)
 
 
 def test_unknown_filter_type_names_its_row(tmp_path):
@@ -324,8 +352,56 @@ def test_unknown_filter_type_names_its_row(tmp_path):
     assert info.value.offset == 7
 
 
+@pytest.mark.parametrize(
+    "filters, bpp, bad_row",
+    [([3, 4, 3, 4, 7, 2], 3, 4), ([4, 3, 9, 1, 255, 0], 4, 2)],
+    ids=["after-average-and-paeth", "first-of-two"],
+)
+def test_unknown_filter_type_is_reported_at_its_row(filters, bpp, bad_row):
+    stride = 5 * bpp
+    raw = random_stream(filters, stride, seed=9)
+    with pytest.raises(PngError, match=f"filter type {filters[bad_row]} in row {bad_row} of") as info:
+        _unfilter(raw, len(filters), stride, bpp)
+    assert info.value.offset == bad_row * (stride + 1)
+
+
+def test_decode_memory_stays_within_five_times_the_pixels(tmp_path):
+    import tracemalloc
+
+    # four bands with grain, so the adaptive encoder picks every filter
+    y, x = np.mgrid[0:256, 0:256]
+    c = np.arange(3)
+    bands = [
+        128 + 80 * np.sin(x[..., None] / 5.0 + c),  # vertical stripes: Up
+        128 + 80 * np.sin(y[..., None] / 5.0 + c),  # horizontal stripes: Sub
+        128 + 60 * np.sin(x[..., None] / 23.0) * np.cos(y[..., None] / 31.0 + c),  # Average
+        128 + 50 * np.sin((x + y)[..., None] / 11.0) + 50 * np.sin((x - y)[..., None] / 13.0),  # Paeth
+    ]
+    shade = np.choose((y // 64)[..., None], bands)
+    grain = np.random.default_rng(11).normal(0, 2, (256, 256, 3))
+    pixels = np.clip(shade + grain, 0, 255).astype(np.uint8)
+    blob = reference_png(pixels, color_type=2, filter_type="adaptive")
+    assert {1, 2, 3, 4} <= set(png_filters(blob))
+    path = str(tmp_path / "photo.png")
+    open(path, "wb").write(blob)
+    load_image(path)  # lazy numpy set-up stays out of the traced window
+    tracemalloc.start()
+    try:
+        image = load_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(image.data, pixels)
+    assert peak <= 5 * pixels.nbytes
+
+
 VALID_PNG = reference_png(
     np.random.default_rng(0).integers(0, 256, (4, 5, 3), dtype=np.uint8), color_type=2, filter_type=4
+)
+MIXED_FILTER_PNG = reference_png(
+    np.random.default_rng(1).integers(0, 256, (7, 6, 3), dtype=np.uint8),
+    color_type=2,
+    filter_type=[3, 4, 1, 4, 2, 3, 0],
 )
 
 
@@ -344,7 +420,7 @@ def with_fixed_crcs(blob: bytes) -> bytes:
     return bytes(out)
 
 
-@given(mutated(VALID_PNG), st.booleans())
+@given(st.one_of(mutated(VALID_PNG), mutated(MIXED_FILTER_PNG)), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_mutated_pngs_load_or_raise_png_error(tmp_path_factory, blob, fix_crcs):
     path = tmp_path_factory.getbasetemp() / "fuzz.png"

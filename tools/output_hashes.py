@@ -20,6 +20,11 @@ on where OUT is:
   cover where the batches split;
 - ``oracle --target exemplar1.png --steps 20`` (noise init), and with
   ``--init exemplar2.png --steps 5 --out o2.png --trace t2.csv``;
+- ``transfer --content filtered.png --style 1`` and ``oracle --target
+  filtered.png --steps 5``, where ``filtered.png`` is a 32x32 content
+  image written by this tool's own encoder with row filters 1-4 (Sub, Up,
+  Average, Paeth), so the bytes cover the decoder's filter paths; texsyn
+  writes filter 0 only;
 - ``defaults`` and ``gradcheck --seed 0``.
 
 Prints ``<sha256>  <name>`` for every file under OUT and
@@ -32,8 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 CONFIG = """\
 paths.exemplars = exemplar1.png, exemplar2.png, exemplar3.png
@@ -62,7 +69,38 @@ COMMANDS = (
     ["transfer", "--content", "exemplar2.png", "--mix", "1:0.3,2:0.7"],
     ["oracle", "--target", "exemplar1.png", "--steps", "20"],
     ["oracle", "--target", "exemplar1.png", "--init", "exemplar2.png", "--steps", "5", "--out", "o2.png", "--trace", "t2.csv"],
+    ["transfer", "--content", "filtered.png", "--style", "1"],
+    ["oracle", "--target", "filtered.png", "--steps", "5", "--out", "o3.png", "--trace", "t3.csv"],
 )
+
+
+def filtered_png(size: int = 32) -> bytes:
+    """A size x size RGB PNG whose rows cycle through filters 1-4."""
+
+    def chunk(ctype: bytes, data: bytes) -> bytes:
+        return struct.pack(">I", len(data)) + ctype + data + struct.pack(">I", zlib.crc32(ctype + data))
+
+    def paeth(a: int, b: int, c: int) -> int:
+        pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+        return a if pa <= pb and pa <= pc else b if pb <= pc else c
+
+    stride = 3 * size
+    pixels = []  # row-major RGB bytes
+    for y in range(size):
+        for x in range(size):
+            pixels += [(x * 7 + y * 3) % 256, (x * y + 40) % 256, (200 - 5 * x + (y * y) % 31) % 256]
+    raw = bytearray()
+    for y in range(size):
+        filt = 1 + y % 4
+        raw.append(filt)
+        for i in range(stride):
+            a = pixels[y * stride + i - 3] if i >= 3 else 0
+            b = pixels[(y - 1) * stride + i] if y else 0
+            c = pixels[(y - 1) * stride + i - 3] if y and i >= 3 else 0
+            predicted = (a, b, (a + b) // 2, paeth(a, b, c))[filt - 1]
+            raw.append((pixels[y * stride + i] - predicted) % 256)
+    ihdr = struct.pack(">IIBBBBB", size, size, 8, 2, 0, 0, 0)
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b"")
 
 
 def sha256(data: bytes) -> str:
@@ -87,6 +125,8 @@ def main(argv: list) -> int:
         f.write(CONFIG)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"), os.path.join(tree, "tests")]))
     run([sys.executable, "-c", WRITE_EXEMPLARS], out, env)
+    with open(os.path.join(out, "filtered.png"), "wb") as f:
+        f.write(filtered_png())
 
     cli = [sys.executable, "-m", "texsyn.cli"]
     lines = []
