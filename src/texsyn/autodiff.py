@@ -29,6 +29,14 @@ the upsampled map's convolution reads upsampled rows ``2i + a - 1`` to
 correlation of the source map, whose taps are sums of the 3x3 taps that
 read the same source pixel: 4 multiply-adds per output value instead of
 9, and no upsampled map is ever stored.
+
+A convolution copies its narrower side once per kernel tap.  Most layers
+widen or keep their channel count, so :func:`conv2d` copies input windows
+into a column matrix (im2col).  A stride-1 convolution with fewer outputs
+than inputs, such as the 16-to-3 ``rgb`` layers, multiplies the whole
+padded map by every tap first and then adds the shifted O-channel results
+(kn2row; Anderson et al., arXiv:1709.03395).  The rule reads only the
+shapes; no option selects it.
 """
 
 from __future__ import annotations
@@ -465,8 +473,8 @@ def conv2d(
 ) -> Tensor:
     """Cross-correlation of [N,C,H,W] with kernel [O,C,kh,kw] plus bias [O].
 
-    Every pass is one GEMM per sample over a column matrix built by
-    ``_columns``: rows (C, kh, kw) channel-major, columns the H'·W' output
+    By default every pass is one GEMM per sample over a column matrix built
+    by ``_columns``: rows (C, kh, kw) channel-major, columns the H'·W' output
     positions.  The forward multiplies ``kernel`` as [O, C·kh·kw] into the
     sample's row of the output; the kernel gradient accumulates ``g[i]`` as
     [O, H'·W'] times the columns' transpose; the input gradient correlates
@@ -474,6 +482,25 @@ def conv2d(
     columns, at stride 1 with the flipped kernel as [C, O·kh·kw].  Columns
     are built per sample, into one buffer per pass, and never cached:
     backward rebuilds them.
+
+    With fewer outputs than inputs (``o < c``) at stride 1, the forward and
+    the kernel gradient replicate the output side instead (kn2row: multiply
+    first, then shift).  The forward multiplies the taps as [kh·kw·O, C]
+    by the padded sample [C, Hp·Wp] and adds the kh·kw shifted O-channel
+    windows of the product, from tap (0, 0) in row-major order, then the
+    bias.  The kernel gradient places ``g`` at every tap's shift in a zeroed
+    [kh·kw·O, N·Hp·Wp] buffer and takes one product with the padded input
+    on the left, [C, N·Hp·Wp] times the buffer's transpose; the padded
+    input is stored channel-major over the batch so that operand is a view.
+    The mirrored product, [kh·kw·O, P] times [P, C], rounds differently at
+    one and two BLAS threads in OpenBLAS 0.3.31 (at P = 4,356 and more with
+    O=3, C=16), and the texture trainer's bytes would then depend on the
+    thread count.  The input gradient keeps its column path, whose columns
+    already come from ``g``.  Both ``rgb`` layers (16 to 3 channels) take
+    this path.  At [4,16,64,64] float32, on a shared 2-core Xeon with one
+    BLAS thread, the forward took 0.9 ms against 4.0 ms by columns; at
+    [1,16,256,256], 5.8 ms against 34 ms, with a 7 MB product buffer in
+    place of a 38 MB column matrix.
     """
     operands = (input, kernel) if bias is None else (input, kernel, bias)
     _same_dtype("conv2d", *operands)
@@ -502,19 +529,37 @@ def conv2d(
         )
 
     hp, wp = h + 2 * pad, w + 2 * pad
+    narrow = o < c and stride == 1
     padded = input.data
     if pad:
-        padded = np.zeros((n, c, hp, wp), dtype=input.dtype)
+        # channel-major over the batch when narrow: the kernel gradient's
+        # [C, N·Hp·Wp] operand is then a view
+        shape = (c, n, hp, wp) if narrow else (n, c, hp, wp)
+        padded = np.zeros(shape, dtype=input.dtype)
+        if narrow:
+            padded = padded.transpose(1, 0, 2, 3)
         padded[:, :, pad : pad + h, pad : pad + w] = input.data
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
     dtype = input.dtype
     out = np.empty((n, o, oh, ow), dtype=dtype)
-    weights = kernel.data.reshape(o, -1)
-    cols = np.empty((c * kh * kw, oh * ow), dtype=dtype)
-    for i in range(n):
-        np.matmul(weights, _columns(padded[i], kh, kw, stride, cols), out=out[i].reshape(o, -1))
-    del cols
+    if narrow:
+        taps = kernel.data.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+        prod = np.empty((kh, kw, o, hp, wp), dtype=dtype)
+        for i in range(n):
+            np.matmul(taps, padded[i].reshape(c, -1), out=prod.reshape(kh * kw * o, -1))
+            out[i] = prod[0, 0, :, :oh, :ow]
+            for u in range(kh):
+                for v in range(kw):
+                    if u or v:
+                        out[i] += prod[u, v, :, u : u + oh, v : v + ow]
+        del prod
+    else:
+        weights = kernel.data.reshape(o, -1)
+        cols = np.empty((c * kh * kw, oh * ow), dtype=dtype)
+        for i in range(n):
+            np.matmul(weights, _columns(padded[i], kh, kw, stride, cols), out=out[i].reshape(o, -1))
+        del cols
     if bias is not None:
         out += bias.data.reshape(1, o, 1, 1)
 
@@ -540,7 +585,16 @@ def conv2d(
                 np.matmul(flipped, _columns(region, kh, kw, 1, cols), out=grad_in[i].reshape(c, -1))
             del cols
         grad_k = None
-        if kernel.requires_grad:
+        if kernel.requires_grad and narrow:
+            # g at every tap's shift, as [kh·kw·O, N·Hp·Wp], meets the padded
+            # input as [C, N·Hp·Wp]; the input side stays on the left
+            shifted = np.zeros((kh, kw, o, n, hp, wp), dtype=dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    shifted[u, v, :, :, u : u + oh, v : v + ow] = g.transpose(1, 0, 2, 3)
+            grad_k = padded.transpose(1, 0, 2, 3).reshape(c, -1) @ shifted.reshape(kh * kw * o, -1).T
+            grad_k = np.ascontiguousarray(grad_k.reshape(c, kh, kw, o).transpose(3, 0, 1, 2))
+        elif kernel.requires_grad:
             grad_k = np.zeros((o, c * kh * kw), dtype=dtype)
             cols = np.empty((c * kh * kw, oh * ow), dtype=dtype)
             for i in range(n):

@@ -119,6 +119,11 @@ def _primitive_cases(rng):
             lambda x, k, b: ad.conv2d(x, k, b, stride=1, pad=1).sum(),
             [arr(2, 2, 5, 5), arr(3, 2, 3, 3), arr(3)],
         ),
+        # fewer outputs than inputs: conv2d multiplies first, then shifts
+        "conv2d_narrow": lambda: (
+            lambda x, k, b: ad.conv2d(x, k, b, stride=1, pad=1).sum(),
+            [arr(2, 4, 5, 5), arr(2, 4, 3, 3), arr(2)],
+        ),
         "conv2d_strided": lambda: (
             lambda x, k: ad.conv2d(x, k, stride=2, pad=1).sum(),
             [arr(1, 2, 6, 6), arr(2, 2, 3, 3)],

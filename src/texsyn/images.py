@@ -275,7 +275,8 @@ def _box_axis(arr: np.ndarray, target: int, axis: int) -> np.ndarray:
     out = np.zeros((target,) + moved.shape[1:], dtype=np.float64)
     scale = source / target
     for i in range(target):
-        lo, hi = i * scale, (i + 1) * scale
+        # (i + 1) * scale can round past the source edge
+        lo, hi = i * scale, min((i + 1) * scale, source)
         first, last = int(np.floor(lo)), int(np.ceil(hi))
         weights = np.ones(last - first)
         weights[0] -= lo - first

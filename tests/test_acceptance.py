@@ -243,12 +243,15 @@ def test_criterion_08_diversity_direction(desk_cache, desk_exemplars, desk_extra
             np.mean(np.abs(a - b)) for a, b in itertools.combinations(feats, 2)
         ]))
 
+    pairs = []
     for t in range(1, DESK_M + 1):
         diverse, flat = spread(with_div, t), spread(without, t)
         assert diverse > flat, (
             f"texture {t}: beta=-1 spread {diverse:.5f} not > beta=0 {flat:.5f}"
         )
-    print("criterion 8: beta=-1 strictly widens sample spread for every texture")
+        pairs.append(f"({diverse:.5f}, {flat:.5f})")
+    print("criterion 8: beta=-1 strictly widens sample spread for every texture; "
+          f"(beta=-1, beta=0) spreads {', '.join(pairs)}")
 
 
 @pytest.fixture(scope="module")

@@ -174,9 +174,9 @@ def test_conv2d_matches_loop_oracle(n, c, o, h, w, kh, kw, stride, pad):
 
 
 @st.composite
-def conv_shapes(draw):
+def conv_shapes(draw, channels=st.integers(1, 3), outputs=st.integers(1, 3)):
     """(x, kernel, output shapes, stride, pad) with the kernel inside the padded input."""
-    n, c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n, c, o = draw(st.integers(1, 3)), draw(channels), draw(outputs)
     kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     h = draw(st.integers(max(1, kh - 2 * pad), kh + 6))
@@ -200,8 +200,35 @@ def test_conv2d_passes_match_oracles(shapes, seed):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
-@given(conv_shapes(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
+def narrow_conv_shapes():
+    """Fewer outputs than inputs, where stride-1 convolutions multiply first."""
+    return conv_shapes(channels=st.integers(4, 8), outputs=st.integers(1, 3))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)], ids=["float64", "float32"])
+@given(narrow_conv_shapes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_narrow_conv2d_passes_match_oracles(dtype, tol, shapes, seed):
+    """With o < c, all three passes equal the float64 loop and tensordot oracles."""
+    xs, ks, ys, stride, pad = shapes
+    g = np.random.default_rng(seed)
+    x, k, up = (g.standard_normal(s).astype(dtype) for s in (xs, ks, ys))
+    got = conv2d_passes(x, k, up, stride=stride, pad=pad)
+    wide = [a.astype(np.float64) for a in (x, k, up)]
+    want = conv2d_tensordot(*wide, stride=stride, pad=pad)
+    loops = conv2d_loops(*wide[:2], stride=stride, pad=pad)
+    assert_close_relative(got[0].astype(np.float64), loops, tol)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype
+        assert_close_relative(a.astype(np.float64), b, tol)
+
+
+@given(
+    st.one_of(conv_shapes(), narrow_conv_shapes()),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
 def test_conv2d_batch_rows_equal_single_sample_calls(shapes, dtype, seed):
     """Row i of a batched forward and input gradient is the N=1 call, bit for bit."""
     xs, ks, ys, stride, pad = shapes
@@ -232,6 +259,27 @@ def test_conv2d_backward_transient_memory_stays_below_batch_columns():
         tracemalloc.stop()
     assert [gr.shape for gr in grads] == [x.shape, k.shape, b.shape]
     assert peak < batch_columns, f"backward peak {peak / 1e6:.1f} MB"
+
+
+def test_narrow_conv2d_peaks_below_its_column_matrix():
+    """Forward and backward at [1,16,256,256] to 3 channels (3x3, pad 1) peak
+    below one [C·kh·kw, H·W] column matrix, 37.7 MB in float32."""
+    g = np.random.default_rng(0)
+    x = Tensor(g.standard_normal((1, 16, 256, 256)), requires_grad=True, dtype=TRAIN_DTYPE)
+    k = Tensor(0.1 * g.standard_normal((3, 16, 3, 3)), requires_grad=True, dtype=TRAIN_DTYPE)
+    b = Tensor(np.zeros(3), requires_grad=True, dtype=TRAIN_DTYPE)
+    up = np.ones((1, 3, 256, 256), dtype=TRAIN_DTYPE)
+    columns = 16 * 9 * 256 * 256 * up.dtype.itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        y = ad.conv2d(x, k, b, pad=1)
+        grads = y._backward(up)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [gr.shape for gr in grads] == [x.shape, k.shape, b.shape]
+    assert peak < columns, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize(

@@ -11,13 +11,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mutated
 from texsyn.images import (
     ImageBuffer,
     PngError,
+    _box_axis,
     _unfilter,
     denormalize,
     load_image,
@@ -506,6 +507,35 @@ def test_resize_box_fractional_boxes():
     assert out.data.shape == (2, 2, 3)
     want00 = (0 * 1.0 + 90 * 0.5 + 30 * 0.5 + 120 * 0.25) / 2.25
     assert out.data[0, 0, 0] == int(np.floor(want00 + 0.5))
+
+
+def box_weights(source: int, target: int) -> np.ndarray:
+    """Exact box-integral weights [target, source]: output pixel i averages
+    the source over [i·source/target, (i+1)·source/target]; in units of
+    1/target, its overlap with source pixel j is an integer."""
+    i = np.arange(target)[:, None]
+    j = np.arange(source)[None, :]
+    overlap = np.minimum((j + 1) * target, (i + 1) * source) - np.maximum(j * target, i * source)
+    return np.clip(overlap, 0, None) / source
+
+
+@given(st.integers(1, 1024), st.integers(1, 256), st.integers(0, 1), st.integers(0, 2**32 - 1))
+@example(21, 19, 0, 0)
+@example(25, 11, 1, 0)
+@example(29, 7, 0, 0)
+@settings(max_examples=60, deadline=None)
+def test_resize_box_axis_equals_the_exact_box_integral(source, target, axis, seed):
+    shape = [3, 3]
+    shape[axis] = source
+    pixels = np.random.default_rng(seed).integers(0, 256, (*shape, 3)).astype(np.uint8)
+    values = pixels.astype(np.float64)
+    want = np.moveaxis(np.tensordot(box_weights(source, target), np.moveaxis(values, axis, 0), axes=1), 0, axis)
+    np.testing.assert_allclose(_box_axis(values, target, axis), want, rtol=0, atol=1e-9)
+    size = [3, 3]
+    size[axis] = target
+    out = resize_box(ImageBuffer(pixels), size[1], size[0])
+    assert out.data.shape == (*size, 3)
+    assert np.abs(out.data.astype(np.float64) - want).max() <= 0.5 + 1e-9
 
 
 def test_buffer_validation():

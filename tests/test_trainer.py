@@ -1,8 +1,13 @@
 """Schedule exactness, optimizer behavior, training-loop mechanics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import texsyn
 from texsyn import autodiff as ad
 from texsyn import rng as _rng
 from texsyn.autodiff import Tensor
@@ -11,7 +16,7 @@ from texsyn.generator import SynthesisConfig, generate, init_params, one_hot, sa
 from texsyn.losses import texture_loss, total_loss
 from texsyn.optim import Adam
 from texsyn.serialize import ParamSet
-from helpers import per_sample_diversity, read_loss_log, record_steps
+from helpers import per_sample_diversity, read_loss_log, record_steps, write_exemplars
 from texsyn.trainer import (
     LossLog,
     Schedule,
@@ -481,3 +486,39 @@ def test_train_calls_hooks_through_its_own_module(monkeypatch, tmp_path):
     assert picks == [0, 1, 2, 3]
     assert saves == ["checkpoint_2.model", "checkpoint_4.model"]
     assert sorted(os.listdir(tmp_path)) == saves
+
+
+# A desk-size ``texsyn train`` in a fresh interpreter, with BLAS at the
+# thread count set in its environment; prints the model file's sha256.
+TRAIN_AND_HASH = """
+import hashlib, sys
+from texsyn.cli import main
+assert main(sys.argv[2:]) == 0
+with open(sys.argv[1], "rb") as f:
+    print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+def test_texture_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """12 iterations at the default 32x32 sizes write the same model at 1 and 2 threads."""
+    paths = write_exemplars(tmp_path, 3)
+    digests = []
+    for threads in ("1", "2"):
+        model = str(tmp_path / f"threads{threads}.model")
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.path.dirname(os.path.dirname(texsyn.__file__)),
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-c", TRAIN_AND_HASH, model, "train", "--seed", "7",
+                "--set", f"paths.exemplars={','.join(paths)}",
+                "--set", "train.K=3", "--set", "train.iterations=12",
+                "--set", f"paths.model={model}",
+                "--set", f"paths.log={tmp_path / f'threads{threads}.csv'}",
+            ],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(done.stdout.split()[-1])
+    assert digests[0] == digests[1]
